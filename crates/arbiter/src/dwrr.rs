@@ -117,12 +117,6 @@ impl Arbiter for Dwrr {
         }
         unreachable!("deficit growth guarantees a winner within max_turns")
     }
-
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize> {
-        // Deficit clearing and the turn loop mutate state before the winner
-        // is known; a scratch clone replays the whole service step.
-        self.clone().arbitrate(now, requests)
-    }
 }
 
 #[cfg(test)]

@@ -58,16 +58,6 @@ impl Arbiter for FixedPriority {
             })
             .min()
     }
-
-    fn decide(&self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        requests
-            .iter()
-            .map(|r| {
-                assert!(r.input() < self.n, "input {} out of range", r.input());
-                r.input()
-            })
-            .min()
-    }
 }
 
 #[cfg(test)]

@@ -95,26 +95,6 @@ impl Arbiter for FourLevel {
         lrg.grant(winner);
         Some(winner)
     }
-
-    fn decide(&self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        let top = requests
-            .iter()
-            .map(|r| {
-                assert!(
-                    (r.level() as usize) < NUM_LEVELS,
-                    "level {} exceeds {NUM_LEVELS} levels",
-                    r.level()
-                );
-                r.level()
-            })
-            .max()?;
-        let candidates: Vec<usize> = requests
-            .iter()
-            .filter(|r| r.level() == top)
-            .map(|r| r.input())
-            .collect();
-        self.per_level[top as usize].peek(&candidates)
-    }
 }
 
 #[cfg(test)]

@@ -134,12 +134,6 @@ impl Arbiter for Gsf {
         Some(winner)
     }
 
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize> {
-        // Early frame reclamation can fire mid-arbitration; a scratch
-        // clone replays it without disturbing live budgets.
-        self.clone().arbitrate(now, requests)
-    }
-
     fn tick(&mut self) {
         self.elapsed = self.elapsed.saturating_add(1);
         if self.elapsed >= self.frame_cycles {

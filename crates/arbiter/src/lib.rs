@@ -90,22 +90,6 @@ pub trait Arbiter {
     /// range — that is a harness bug, not a runtime condition.
     fn arbitrate(&mut self, now: Cycle, requests: &[Request]) -> Option<usize>;
 
-    /// Predicts the winner [`Arbiter::arbitrate`] would pick for the same
-    /// `requests` at the same `now`, **without mutating state**.
-    ///
-    /// This is the decision half of the decide/commit split the sharded
-    /// execution engine relies on: every shard calls `decide` in parallel
-    /// against an immutable switch snapshot, and the serial merge phase
-    /// replays the winning choice through `arbitrate` (or a policy's
-    /// dedicated commit entry point). The contract is exact agreement:
-    /// for any state S, `S.decide(now, reqs) == S.arbitrate(now, reqs)`
-    /// where the right-hand side runs on a clone of S.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Arbiter::arbitrate`].
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize>;
-
     /// Advances per-cycle internal clocks, if the policy has any.
     ///
     /// The default implementation does nothing. [`SsvcArbiter`] uses this
@@ -167,51 +151,6 @@ mod trait_tests {
                     reqs.iter().any(|r| r.input() == w),
                     "winner not a requester"
                 );
-            }
-        }
-    }
-
-    /// The decide/commit contract: across evolving state, `decide` must
-    /// predict exactly what the next `arbitrate` picks, and must not
-    /// perturb the sequence (interleaving extra `decide` calls changes
-    /// nothing).
-    #[test]
-    fn decide_predicts_arbitrate_for_every_policy() {
-        let mut arbiters: Vec<Box<dyn Arbiter>> = vec![
-            Box::new(Lrg::new(8)),
-            Box::new(RoundRobin::new(8)),
-            Box::new(FixedPriority::new(8)),
-            Box::new(FourLevel::new(8)),
-            Box::new(Gsf::new(&[4; 8], 64)),
-            Box::new(Wrr::new(&[1, 2, 3, 4, 1, 2, 3, 4])),
-            Box::new(Dwrr::new(&[4; 8])),
-            Box::new(Wfq::new(&[1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0])),
-            Box::new(VirtualClock::new(&[
-                8.0, 16.0, 24.0, 8.0, 16.0, 24.0, 8.0, 16.0,
-            ])),
-            Box::new(SsvcArbiter::new(
-                SsvcConfig::new(12, 3, CounterPolicy::SubtractRealClock),
-                &[20, 40, 80, 20, 40, 80, 20, 40],
-            )),
-        ];
-        let mut rng = ssq_types::rng::Xoshiro256StarStar::seed_from_u64(0xD1C1DE);
-        for a in &mut arbiters {
-            for step in 0..200u64 {
-                let now = Cycle::new(step);
-                a.tick();
-                let mut reqs = Vec::new();
-                for i in 0..8 {
-                    if rng.chance(0.4) {
-                        reqs.push(
-                            Request::new(i, 1 + rng.below(8)).with_level((rng.below(4)) as u8),
-                        );
-                    }
-                }
-                let predicted = a.decide(now, &reqs);
-                let re_predicted = a.decide(now, &reqs);
-                assert_eq!(predicted, re_predicted, "decide must be pure");
-                let actual = a.arbitrate(now, &reqs);
-                assert_eq!(predicted, actual, "decide diverged at step {step}");
             }
         }
     }

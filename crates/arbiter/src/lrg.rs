@@ -27,7 +27,7 @@ use crate::{Arbiter, Request};
 /// is one row clear plus one column-bit set per row, and the word-wide
 /// [`Lrg::peek_mask`] resolves a whole candidate word with shift/AND
 /// containment tests — the software form of the one-cycle bitline
-/// arbitration the `bitpar` engine exploits.
+/// arbitration.
 ///
 /// # Examples
 ///
@@ -215,11 +215,6 @@ impl Arbiter for Lrg {
         let winner = self.peek(&candidates)?;
         self.grant(winner);
         Some(winner)
-    }
-
-    fn decide(&self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        let candidates: Vec<usize> = requests.iter().map(|r| r.input()).collect();
-        self.peek(&candidates)
     }
 }
 

@@ -71,17 +71,6 @@ impl Arbiter for RoundRobin {
         }
         unreachable!("non-empty request set always has a winner")
     }
-
-    fn decide(&self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        // The same pointer scan as `arbitrate`, minus the pointer update.
-        requests
-            .iter()
-            .map(|r| {
-                assert!(r.input() < self.n, "input {} out of range", r.input());
-                r.input()
-            })
-            .min_by_key(|&i| (i + self.n - self.next) % self.n)
-    }
 }
 
 #[cfg(test)]

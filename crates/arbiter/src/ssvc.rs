@@ -338,29 +338,6 @@ impl SsvcArbiter {
         self.lrg.peek(&tied)
     }
 
-    /// Predicts the counter outcome of a win without mutating state:
-    /// `(aux_after, saturated)`, where `aux_after` is the winner's `auxVC`
-    /// after the `Vtick` charge **and** any saturation-triggered policy
-    /// action, exactly as [`SsvcArbiter::commit_win`] would leave it.
-    ///
-    /// The sharded engine uses this to pre-build counter-update trace
-    /// events during the pure decide phase; the
-    /// `preview_win_matches_commit_win` test pins the agreement.
-    #[must_use]
-    pub fn preview_win(&self, winner: usize) -> (u64, bool) {
-        let cap = self.config.saturation_cap();
-        let charged = (self.aux[winner] + self.vticks[winner]).min(cap);
-        let saturated = charged == cap;
-        let after = match self.config.policy() {
-            CounterPolicy::Halve if saturated => charged >> 1,
-            CounterPolicy::Reset if saturated => 0,
-            CounterPolicy::SubtractRealClock | CounterPolicy::Halve | CounterPolicy::Reset => {
-                charged
-            }
-        };
-        (after, saturated)
-    }
-
     /// Records a win: LRG update, `auxVC += Vtick` (saturating), and
     /// counter-management policy actions.
     pub fn commit_win(&mut self, winner: usize) {
@@ -442,7 +419,7 @@ impl SsvcArbiter {
     /// caused it and `epochs` the post-decay epoch count — exactly the
     /// sampling a dense caller would observe around each single tick.
     ///
-    /// This is the idle-skip clock for the `bitpar` engine: instead of
+    /// This is the clock of the idle-skipping runner: instead of
     /// `n` per-cycle ticks it walks wrap to wrap, so the cost scales
     /// with decay epochs (rare), not skipped cycles.
     pub fn tick_batch(&mut self, n: u64, mut on_epoch: impl FnMut(u64, u64)) {
@@ -497,21 +474,6 @@ impl Arbiter for SsvcArbiter {
         let winner = self.peek(&candidates)?;
         self.commit_win(winner);
         Some(winner)
-    }
-
-    fn decide(&self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        let candidates: Vec<usize> = requests
-            .iter()
-            .map(|r| {
-                assert!(
-                    r.input() < self.aux.len(),
-                    "input {} out of range",
-                    r.input()
-                );
-                r.input()
-            })
-            .collect();
-        self.peek(&candidates)
     }
 
     /// Advances the real-time subcounter. Under
@@ -911,34 +873,6 @@ mod tests {
         }
         assert_eq!(s.aux_vc(0), 2000 - c.msb_step(), "next wrap decays again");
         assert_eq!(s.decay_epochs(), 1);
-    }
-
-    #[test]
-    fn preview_win_matches_commit_win() {
-        use ssq_types::rng::Xoshiro256StarStar;
-
-        let mut rng = Xoshiro256StarStar::seed_from_u64(0x55C0_11A7);
-        for policy in [
-            CounterPolicy::SubtractRealClock,
-            CounterPolicy::Halve,
-            CounterPolicy::Reset,
-        ] {
-            let c = cfg(policy);
-            let vticks: Vec<u64> = (0..4).map(|_| 1 + rng.below(600)).collect();
-            let mut s = SsvcArbiter::new(c, &vticks);
-            for _ in 0..500 {
-                let winner = rng.index(4);
-                let (predicted_aux, predicted_sat) = s.preview_win(winner);
-                let sat_before = s.saturation_count();
-                s.commit_win(winner);
-                assert_eq!(s.aux_vc(winner), predicted_aux, "{policy} aux");
-                assert_eq!(
-                    s.saturation_count() > sat_before,
-                    predicted_sat,
-                    "{policy} saturation"
-                );
-            }
-        }
     }
 
     #[test]

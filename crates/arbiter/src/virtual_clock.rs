@@ -154,12 +154,6 @@ impl Arbiter for VirtualClock {
         self.stamps[winner].pop_front();
         Some(winner)
     }
-
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize> {
-        // Arrival stamping mutates state even for losers, so prediction
-        // replays the full arbitration against a scratch clone.
-        self.clone().arbitrate(now, requests)
-    }
 }
 
 #[cfg(test)]

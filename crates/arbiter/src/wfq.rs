@@ -103,12 +103,6 @@ impl Arbiter for Wfq {
         self.virtual_time = tag;
         Some(winner)
     }
-
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize> {
-        // Head-tag stamping mutates state before the winner is known, so
-        // prediction replays the full arbitration against a scratch clone.
-        self.clone().arbitrate(now, requests)
-    }
 }
 
 #[cfg(test)]

@@ -101,12 +101,6 @@ impl Arbiter for Wrr {
         }
         unreachable!("refill guarantees a creditable requester")
     }
-
-    fn decide(&self, now: Cycle, requests: &[Request]) -> Option<usize> {
-        // Refill and cursor motion are interleaved with winner selection;
-        // predicting via a scratch clone keeps one source of truth.
-        self.clone().arbitrate(now, requests)
-    }
 }
 
 #[cfg(test)]

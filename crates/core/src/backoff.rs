@@ -173,7 +173,7 @@ impl RetryTimer {
     /// Asks `policy` for a retry at cycle `now`: consumes an attempt
     /// (and schedules its hold window) unless a previous attempt's
     /// window is still open or the budget is exhausted.
-    pub fn decide(
+    pub fn request_retry(
         &mut self,
         policy: &BackoffPolicy,
         now: u64,
@@ -216,17 +216,20 @@ mod tests {
         let mut r = rng();
         let pristine = r;
         assert_eq!(
-            timer.decide(&policy, 10, &mut r),
+            timer.request_retry(&policy, 10, &mut r),
             RetryDecision::Retry { until: 10 }
         );
         assert_eq!(
-            timer.decide(&policy, 10, &mut r),
+            timer.request_retry(&policy, 10, &mut r),
             RetryDecision::Retry { until: 10 }
         );
-        assert_eq!(timer.decide(&policy, 10, &mut r), RetryDecision::Exhausted);
+        assert_eq!(
+            timer.request_retry(&policy, 10, &mut r),
+            RetryDecision::Exhausted
+        );
         assert_eq!(r, pristine, "jitter-free policies never touch the rng");
         timer.reset();
-        assert!(timer.decide(&policy, 11, &mut r).retrying());
+        assert!(timer.request_retry(&policy, 11, &mut r).retrying());
     }
 
     #[test]
@@ -246,22 +249,25 @@ mod tests {
         let mut timer = RetryTimer::new();
         let mut r = rng();
         assert_eq!(
-            timer.decide(&policy, 100, &mut r),
+            timer.request_retry(&policy, 100, &mut r),
             RetryDecision::Retry { until: 110 }
         );
         // Detections inside the window do not burn budget.
         assert_eq!(
-            timer.decide(&policy, 105, &mut r),
+            timer.request_retry(&policy, 105, &mut r),
             RetryDecision::Hold { until: 110 }
         );
         assert_eq!(timer.attempts(), 1);
         // Past the window the second (doubled) attempt fires...
         assert_eq!(
-            timer.decide(&policy, 110, &mut r),
+            timer.request_retry(&policy, 110, &mut r),
             RetryDecision::Retry { until: 130 }
         );
         // ...and once it too lapses, the budget is gone.
-        assert_eq!(timer.decide(&policy, 130, &mut r), RetryDecision::Exhausted);
+        assert_eq!(
+            timer.request_retry(&policy, 130, &mut r),
+            RetryDecision::Exhausted
+        );
     }
 
     #[test]

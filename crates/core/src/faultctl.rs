@@ -123,7 +123,9 @@ impl FaultControl {
         let Some(timer) = self.retry.get_mut(o) else {
             return false;
         };
-        timer.decide(&self.policy, now, &mut self.rng).retrying()
+        timer
+            .request_retry(&self.policy, now, &mut self.rng)
+            .retrying()
     }
 
     /// Refills output `o`'s retry budget (on heal or SSVC restore).

@@ -94,4 +94,4 @@ pub use port::InputPort;
 pub use prof::CycleProf;
 pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
-pub use switch::{OutputPlan, QosSwitch, SwitchCounters};
+pub use switch::{QosSwitch, SwitchCounters};

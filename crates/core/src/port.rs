@@ -97,7 +97,7 @@ pub struct InputPort {
     gl: ClassQueue,
     /// Request word for the GB VOQs: bit `o` ⇔ `gb[o]` holds a packet.
     /// Maintained incrementally at the two queue mutation points so the
-    /// bitpar engine reads per-port requests in O(1) instead of probing
+    /// stepping kernel reads per-port requests in O(1) instead of probing
     /// `radix` queue heads.
     gb_bits: u64,
     /// Same for BE when running per-output virtual queues; unused (0) in

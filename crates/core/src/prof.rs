@@ -1,7 +1,7 @@
 //! Cycle-phase profiling hooks for the switch (DESIGN.md §11).
 //!
 //! [`CycleProf`] wraps an [`ssq_prof::Profiler`] over the kernel's
-//! prepare/decide/commit phases. `QosSwitch::step` consults it once per
+//! prepare/arbitrate phases. `QosSwitch::step` consults it once per
 //! cycle: a sampled cycle is routed through the instrumented step path,
 //! every other cycle runs the uninstrumented loop.
 //!
@@ -40,8 +40,8 @@ impl CycleProf {
         self.inner.arm(sample_every);
     }
 
-    /// Arms like [`CycleProf::arm`] and additionally attributes decide
-    /// time per output.
+    /// Arms like [`CycleProf::arm`] and additionally attributes
+    /// arbitrate time per output.
     pub fn arm_detailed(&mut self, sample_every: u64, outputs: usize) {
         self.inner.arm_detailed(sample_every, outputs);
     }
@@ -51,13 +51,19 @@ impl CycleProf {
         self.inner.disarm();
     }
 
+    /// Clears the accumulated totals, staying armed (called at the
+    /// warm-up/measurement boundary).
+    pub fn reset(&mut self) {
+        self.inner.reset();
+    }
+
     /// Advances the cycle counter; `true` when this cycle is sampled.
     #[inline]
     pub fn begin_cycle(&mut self) -> bool {
         self.inner.begin_cycle()
     }
 
-    /// Whether per-output decide attribution is on.
+    /// Whether per-output arbitrate attribution is on.
     #[must_use]
     pub fn detailed(&self) -> bool {
         self.inner.detailed()
@@ -69,10 +75,10 @@ impl CycleProf {
         self.inner.record_phase(phase, ns);
     }
 
-    /// Adds one decide lap to an output's accumulator (detail mode).
+    /// Adds one arbitrate lap to an output's accumulator (detail mode).
     #[inline]
-    pub fn record_shard(&mut self, shard: usize, ns: u64) {
-        self.inner.record_shard(shard, ns);
+    pub fn record_output(&mut self, output: usize, ns: u64) {
+        self.inner.record_output(output, ns);
     }
 
     /// Snapshots the accumulated totals.
@@ -117,6 +123,10 @@ impl CycleProf {
     #[inline(always)]
     pub fn disarm(&mut self) {}
 
+    /// No-op (stub).
+    #[inline(always)]
+    pub fn reset(&mut self) {}
+
     /// Always `false`: no cycle is ever sampled, so the instrumented
     /// step path is dead code the optimizer removes.
     #[inline(always)]
@@ -138,7 +148,7 @@ impl CycleProf {
 
     /// No-op (stub).
     #[inline(always)]
-    pub fn record_shard(&mut self, _shard: usize, _ns: u64) {}
+    pub fn record_output(&mut self, _output: usize, _ns: u64) {}
 
     /// Always `None`: an unprofiled build has no data, which callers
     /// surface as a rebuild hint.
@@ -159,10 +169,10 @@ mod tests {
         assert!(!p.begin_cycle(), "disarmed: never sampled");
         p.arm(1);
         assert!(p.begin_cycle());
-        p.record_phase(ssq_prof::PHASE_DECIDE, 100);
+        p.record_phase(ssq_prof::PHASE_ARBITRATE, 100);
         let report = p.report().expect("feature on: always Some");
         assert_eq!(report.sampled_cycles, 1);
-        assert!((report.decide_fraction().unwrap() - 1.0).abs() < 1e-9);
+        assert!((report.fraction("arbitrate").unwrap() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -171,9 +181,9 @@ mod tests {
         p.arm_detailed(1, 8);
         assert!(p.detailed());
         assert!(p.begin_cycle());
-        p.record_shard(2, 40);
+        p.record_output(2, 40);
         let report = p.report().unwrap();
-        assert_eq!(report.shards.len(), 8);
-        assert_eq!(report.shards[2].ns, 40);
+        assert_eq!(report.outputs.len(), 8);
+        assert_eq!(report.outputs[2].ns, 40);
     }
 }

@@ -4,17 +4,17 @@
 //! switch, one fault from the DESIGN.md §8 taxonomy injected at a fixed
 //! cycle (or an MTBF schedule), optionally healed, and the run judged by
 //! the two-outcome oracle ([`crate::detect::judge`]). The smoke tier
-//! ([`run_smoke`]) runs every scenario through **all three** execution
-//! engines — the sequential [`Runner`], the sharded [`ParRunner`], and
-//! the word-wide [`BitparRunner`] — and asserts none ends in a silent
-//! violation; an engine divergence (verdict, counters, or trace bytes
-//! differing between the runs) is itself reported as a silent
-//! violation, making every smoke run a differential test of the fast
-//! engines under fault injection.
+//! ([`run_smoke`]) runs every scenario under the watchdog on the dense
+//! [`Runner`] and asserts none ends in a silent violation. It also runs
+//! every scenario without the watchdog on both the dense [`Runner`] and
+//! the idle-skipping [`BitparRunner`]: a divergence between those two
+//! (verdict, counters, or trace bytes) is itself reported as a silent
+//! violation, making every smoke run a differential test of idle
+//! skipping under fault injection.
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
-use ssq_sim::{BitparRunner, MonitorOutcome, ParRunner, Runner, Schedule};
+use ssq_sim::{BitparRunner, MonitorOutcome, Runner, Schedule};
 use ssq_trace::{Event, EventKind, JsonlSink, RingSink};
 use ssq_traffic::{FixedDest, Injector, Periodic, Saturating};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -138,33 +138,20 @@ pub fn run_scenario(name: &str, seed: u64) -> Option<ScenarioResult> {
     Some(finish(name, chaos, &outcome))
 }
 
-/// [`run_scenario`] on the sharded parallel engine with `threads`
-/// compute threads. The result must match [`run_scenario`] exactly —
-/// same verdict, same counters, same trace — which [`run_smoke`]
-/// enforces on every scenario.
-#[must_use]
-pub fn run_scenario_par(name: &str, seed: u64, threads: usize) -> Option<ScenarioResult> {
+/// [`run_scenario`] without the watchdog, on the idle-skipping
+/// [`BitparRunner`] when `skip_idle` is set and on the dense [`Runner`]
+/// otherwise. The two must agree exactly — same verdict, same counters,
+/// same trace — which [`run_smoke`] enforces on every scenario.
+fn run_unwatched(name: &str, seed: u64, skip_idle: bool) -> Option<ScenarioResult> {
     let (switch, plan) = build_scenario(name, seed)?;
     let mut chaos = arm(switch, plan);
-    let outcome = ParRunner::new(
-        Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
-        threads,
-    )
-    .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
-}
-
-/// [`run_scenario`] on the word-wide bitpar engine. Monitored runs step
-/// densely (the watchdog is per executed cycle), so this exercises the
-/// mask-gather fast path under every fault in the catalog; the result
-/// must match [`run_scenario`] exactly, which [`run_smoke`] enforces.
-#[must_use]
-pub fn run_scenario_bitpar(name: &str, seed: u64) -> Option<ScenarioResult> {
-    let (switch, plan) = build_scenario(name, seed)?;
-    let mut chaos = arm(switch, plan);
-    let outcome = BitparRunner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)))
-        .run_monitored(&mut chaos, Cycles::new(2_000), |_, _| {});
-    Some(finish(name, chaos, &outcome))
+    let schedule = Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE));
+    let end = if skip_idle {
+        BitparRunner::new(schedule).run(&mut chaos)
+    } else {
+        Runner::new(schedule).run(&mut chaos)
+    };
+    Some(finish(name, chaos, &MonitorOutcome::Completed(end)))
 }
 
 fn arm(mut switch: QosSwitch, plan: FaultPlan) -> ChaosSwitch {
@@ -373,32 +360,35 @@ fn build_scenario(name: &str, seed: u64) -> Option<(QosSwitch, FaultPlan)> {
     Some((switch, plan))
 }
 
-/// Runs every catalog scenario with `seed` on all three engines.
+/// Runs every catalog scenario with `seed`.
 ///
-/// Each scenario executes under the sequential runner and again under
-/// the parallel engine (two threads) and the bitpar engine; the
-/// sequential result is returned, except that any divergence between
-/// the runs — verdict, injection or delivery counters, or the event
-/// trace — replaces the verdict with a [`Verdict::SilentViolation`]
-/// naming the differential failure.
+/// Each scenario executes under the watchdog on the dense runner, and
+/// again without it on the dense and the idle-skipping runner; the
+/// watched result is returned, except that any divergence between the
+/// two unwatched runs — verdict, injection or delivery counters, or the
+/// event trace — replaces the verdict with a
+/// [`Verdict::SilentViolation`] naming the differential failure.
 #[must_use]
 pub fn run_smoke(seed: u64) -> Vec<ScenarioResult> {
     SCENARIOS
         .iter()
         .map(|(name, _)| {
-            let seq = run_scenario(name, seed).expect("catalog names are valid");
-            let par = run_scenario_par(name, seed, 2).expect("catalog names are valid");
-            let seq = differential(seq, &par, "parallel");
-            let bit = run_scenario_bitpar(name, seed).expect("catalog names are valid");
-            differential(seq, &bit, "bitpar")
+            let watched = run_scenario(name, seed).expect("catalog names are valid");
+            let dense = run_unwatched(name, seed, false).expect("catalog names are valid");
+            let skipping = run_unwatched(name, seed, true).expect("catalog names are valid");
+            differential(watched, &dense, &skipping)
         })
         .collect()
 }
 
-/// Folds a fast-engine rerun into the sequential result: identical runs
-/// pass through; any observable difference is the one failure mode this
-/// subsystem exists to rule out, reported loudly.
-fn differential(mut seq: ScenarioResult, other: &ScenarioResult, engine: &str) -> ScenarioResult {
+/// Compares the idle-skipping rerun against the dense one: identical
+/// runs leave `result` as it is; any observable difference is the one
+/// failure mode this subsystem exists to rule out, reported loudly.
+fn differential(
+    mut result: ScenarioResult,
+    seq: &ScenarioResult,
+    other: &ScenarioResult,
+) -> ScenarioResult {
     let mut diffs = Vec::new();
     if seq.verdict != other.verdict {
         diffs.push(format!("verdict {:?} vs {:?}", seq.verdict, other.verdict));
@@ -423,14 +413,14 @@ fn differential(mut seq: ScenarioResult, other: &ScenarioResult, engine: &str) -
         ));
     }
     if !diffs.is_empty() {
-        seq.verdict = Verdict::SilentViolation {
+        result.verdict = Verdict::SilentViolation {
             reason: format!(
-                "{engine} engine diverged from sequential: {}",
+                "idle-skipping runner diverged from dense stepping: {}",
                 diffs.join("; ")
             ),
         };
     }
-    seq
+    result
 }
 
 #[cfg(test)]
@@ -522,39 +512,21 @@ mod tests {
     #[test]
     fn unknown_scenario_is_none() {
         assert!(run_scenario("no-such-scenario", 0).is_none());
-        assert!(run_scenario_par("no-such-scenario", 0, 2).is_none());
-        assert!(run_scenario_bitpar("no-such-scenario", 0).is_none());
+        assert!(run_unwatched("no-such-scenario", 0, true).is_none());
     }
 
     #[test]
-    fn parallel_engine_matches_sequential_under_faults() {
+    fn idle_skipping_matches_dense_under_faults() {
         // The armed-fault paths (fabric corruption classification,
-        // degraded-mode scans) are the hardest cases for the shared
-        // decide/commit kernel: they mutate mid-arbitration. Hold the
-        // parallel engine bit-exact through them at 1 and 4 threads.
+        // degraded-mode scans) mutate mid-arbitration; hold the
+        // idle-skipping runner bit-exact through them.
         for name in ["bitline-stuck-0", "bitline-stuck-1", "gl-lane-lost"] {
-            let seq = run_scenario(name, 7).unwrap();
-            for threads in [1, 4] {
-                let par = run_scenario_par(name, 7, threads).unwrap();
-                assert_eq!(seq.verdict, par.verdict, "{name} @ {threads} threads");
-                assert_eq!(
-                    seq.fault_injections, par.fault_injections,
-                    "{name} @ {threads} threads"
-                );
-                assert_eq!(
-                    seq.delivered_flits, par.delivered_flits,
-                    "{name} @ {threads} threads"
-                );
-                assert_eq!(seq.events, par.events, "{name} @ {threads} threads");
-            }
-            let bit = run_scenario_bitpar(name, 7).unwrap();
-            assert_eq!(seq.verdict, bit.verdict, "{name} @ bitpar");
-            assert_eq!(
-                seq.fault_injections, bit.fault_injections,
-                "{name} @ bitpar"
-            );
-            assert_eq!(seq.delivered_flits, bit.delivered_flits, "{name} @ bitpar");
-            assert_eq!(seq.events, bit.events, "{name} @ bitpar");
+            let dense = run_unwatched(name, 7, false).unwrap();
+            let skipping = run_unwatched(name, 7, true).unwrap();
+            assert_eq!(dense.verdict, skipping.verdict, "{name}");
+            assert_eq!(dense.fault_injections, skipping.fault_injections, "{name}");
+            assert_eq!(dense.delivered_flits, skipping.delivered_flits, "{name}");
+            assert_eq!(dense.events, skipping.events, "{name}");
         }
     }
 }

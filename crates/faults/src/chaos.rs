@@ -7,7 +7,7 @@
 //! no special-casing.
 
 use ssq_core::QosSwitch;
-use ssq_sim::{CycleModel, EventModel, Monitored, ShardedModel};
+use ssq_sim::{CycleModel, EventModel, Monitored};
 use ssq_types::Cycle;
 
 use crate::plan::FaultPlan;
@@ -66,42 +66,7 @@ impl CycleModel for ChaosSwitch {
     }
 }
 
-impl ShardedModel for ChaosSwitch {
-    type Plan = ssq_core::OutputPlan;
-
-    fn shard_count(&self) -> usize {
-        self.switch.shard_count()
-    }
-
-    fn shard_prepare(&mut self, now: Cycle) {
-        // Faults land in the serial prepare phase, exactly where the
-        // sequential `step` applies them, so both engines see identical
-        // pre-decision state.
-        self.plan.apply_due(&mut self.cursor, now, &mut self.switch);
-        self.switch.shard_prepare(now);
-    }
-
-    fn shard_decide(&self, shard: usize, now: Cycle) -> Self::Plan {
-        self.switch.shard_decide(shard, now)
-    }
-
-    fn shard_merge(&mut self, now: Cycle, plans: Vec<Self::Plan>) {
-        self.switch.shard_merge(now, plans);
-    }
-
-    fn plan_cost(plan: &Self::Plan) -> u64 {
-        QosSwitch::plan_cost(plan)
-    }
-}
-
 impl EventModel for ChaosSwitch {
-    fn step_fast(&mut self, now: Cycle) {
-        // Faults land before the step, exactly where the dense `step`
-        // applies them.
-        self.plan.apply_due(&mut self.cursor, now, &mut self.switch);
-        self.switch.step_fast(now);
-    }
-
     fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
         // Scheduled faults are future activity the wrapped switch cannot
         // see, so no skipping while any remain pending.

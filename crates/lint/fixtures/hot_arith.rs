@@ -1,4 +1,4 @@
-// Fixture: unchecked-hot-arith. Mounted at crates/core/src/decide.rs —
+// Fixture: unchecked-hot-arith. Mounted at crates/core/src/kernel.rs —
 // the configured hot file — and reached from the `step` root in the
 // mask_width fixture. `unbounded_sum` adds two raw u64s and fires;
 // `bounded_diff` masks its operand so the interval domain proves the

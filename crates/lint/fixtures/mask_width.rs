@@ -3,7 +3,7 @@
 // by a raw parameter (the shift-by-unbounded-variable case) and fires;
 // `shift_proven` bounds the amount with an assert and is discharged;
 // `shift_waived` carries an in-source waiver. `step` also calls into
-// the decide-kernel fixture (`hot_decide`) and, through it, a second
+// the arbitration-pass fixture (`hot_decide`) and, through it, a second
 // crate — exercising the unified workspace graph.
 
 pub struct MaskKernel;

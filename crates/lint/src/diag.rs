@@ -263,7 +263,7 @@ mod tests {
     fn json_discharged_section_carries_evidence() {
         let d = Discharge {
             rule: "mask-width-safety",
-            file: "crates/core/src/decide.rs".to_string(),
+            file: "crates/core/src/kernel.rs".to_string(),
             line: 7,
             fingerprint: 0xdead_beef,
             evidence: "shift amount in [0, 63] (radix premise)".to_string(),

@@ -264,7 +264,7 @@ mod tests {
         // index alone cannot resolve this two-hop chain.
         let files = vec![
             SourceFile::new(
-                "crates/core/src/decide.rs",
+                "crates/core/src/kernel.rs",
                 "fn kernel() { helper(); }\nfn helper() { fairness::jains(1); }\n".to_string(),
             ),
             SourceFile::new(

@@ -10,11 +10,11 @@
 //!   (test regions, feature grants), `ssq-lint: allow(...)` waivers
 //!   (comment tokens only), and code-only line renders.
 //! * [`parse`] — a lightweight item parser: functions with qualified
-//!   names and bodies, call sites, types with attributes, statics,
+//!   names and bodies, call sites, types with attributes,
 //!   feature-gated definitions.
 //! * [`graph`] — the name-resolved call graph with reachability and
 //!   explanatory paths; deliberately an over-approximation, the sound
-//!   direction for purity and panic-freedom lints. The workspace
+//!   direction for the reachability lints. The workspace
 //!   build adds module/crate aliases so cross-crate free-fn calls
 //!   resolve instead of dead-ending at the crate boundary.
 //! * [`dataflow`] — the abstract interpreter: joint interval +
@@ -22,10 +22,10 @@
 //!   harvesting (ctor-assert field invariants with revocation, method
 //!   summaries), and per-site safety proofs that *discharge* findings
 //!   with evidence.
-//! * [`rules`] — the nine ported textual rules plus the six semantic
-//!   lints (`shard-purity`, `panic-freedom-reachability`,
-//!   `mask-width-safety`, `unchecked-hot-arith`,
-//!   `no-nondeterministic-order`, `feature-gate-hygiene`).
+//! * [`rules`] — the eight ported textual rules plus the five semantic
+//!   lints (`panic-freedom-reachability`, `mask-width-safety`,
+//!   `unchecked-hot-arith`, `no-nondeterministic-order`,
+//!   `feature-gate-hygiene`).
 //! * [`diag`] / [`baseline`] — severities, stable fingerprints, the
 //!   `--json` document (schema 2, findings plus discharge
 //!   certificates), and the checked-in baseline that keeps legacy

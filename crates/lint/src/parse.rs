@@ -89,8 +89,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// `struct`/`enum` declarations, in source order.
     pub types: Vec<TypeItem>,
-    /// Names of `static` items declared in the file.
-    pub statics: Vec<String>,
     /// All named definitions (fns, types, statics) with cfg features.
     pub defs: Vec<Definition>,
 }
@@ -166,12 +164,10 @@ pub fn parse(file: &SourceFile, file_idx: usize) -> ParsedFile {
                     cj += 1;
                 }
                 if let Some((_, t)) = code.get(cj).filter(|(_, t)| t.kind == TokenKind::Ident) {
-                    let name = file.tok_text(t).to_string();
                     out.defs.push(Definition {
-                        name: name.clone(),
+                        name: file.tok_text(t).to_string(),
                         features: file.line_features(code[ci].1.line).to_vec(),
                     });
-                    out.statics.push(name);
                 }
                 ci = cj + 1;
             }
@@ -524,7 +520,8 @@ mod tests {
         let p = parsed(
             "static GLOBAL: u64 = 0;\nstatic mut DANGER: u64 = 0;\n#[cfg(feature = \"faults\")]\nfn fault_set_link() {}\n",
         );
-        assert_eq!(p.statics, vec!["GLOBAL", "DANGER"]);
+        let names: Vec<&str> = p.defs.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names[..2], ["GLOBAL", "DANGER"]);
         let def = p.defs.iter().find(|d| d.name == "fault_set_link").unwrap();
         assert_eq!(def.features, vec!["faults"]);
     }

@@ -62,19 +62,9 @@ pub const LINTS: &[LintInfo] = &[
         summary: "grant/inhibit/chain emissions need a nearby sanitize:: check",
     },
     LintInfo {
-        name: "no-shared-mut-in-shards",
-        severity: Severity::Deny,
-        summary: "no locks/atomics/interior mutability in the shard decide kernel",
-    },
-    LintInfo {
         name: "no-silent-degrade",
         severity: Severity::Deny,
         summary: "QoS degradation sites need a nearby fault-family trace event",
-    },
-    LintInfo {
-        name: "shard-purity",
-        severity: Severity::Deny,
-        summary: "everything reachable from decide_output must be snapshot-pure",
     },
     LintInfo {
         name: "panic-freedom-reachability",
@@ -89,7 +79,7 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         name: "unchecked-hot-arith",
         severity: Severity::Deny,
-        summary: "decide-kernel arithmetic/indexing must have dataflow-bounded operands",
+        summary: "arbitration-pass arithmetic/indexing must have dataflow-bounded operands",
     },
     LintInfo {
         name: "no-nondeterministic-order",
@@ -114,10 +104,6 @@ pub fn rule_names() -> Vec<&'static str> {
 /// fixtures.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Bare name of the shard-purity root function.
-    pub purity_root_fn: String,
-    /// Path suffix of the file declaring the purity root.
-    pub purity_root_file: String,
     /// Bare name of the panic-freedom root function.
     pub panic_root_fn: String,
     /// Path suffix of the file declaring the panic-freedom root.
@@ -128,7 +114,7 @@ pub struct EngineConfig {
     /// features whose surface they drive).
     pub feature_exempt_crates: Vec<String>,
     /// Files whose step-reachable functions are held to
-    /// `unchecked-hot-arith` (the decide kernel).
+    /// `unchecked-hot-arith` (the per-output arbitration pass).
     pub hot_arith_files: Vec<String>,
     /// Crates excluded from the workspace call graph entirely: the
     /// analysis tooling itself (its `step`/`reduce`/`peek` methods
@@ -141,13 +127,11 @@ impl Default for EngineConfig {
     fn default() -> Self {
         let owned = |names: &[&str]| names.iter().map(|s| (*s).to_string()).collect();
         EngineConfig {
-            purity_root_fn: "decide_output".to_string(),
-            purity_root_file: "crates/core/src/decide.rs".to_string(),
             panic_root_fn: "step".to_string(),
             panic_root_file: "crates/core/src/switch.rs".to_string(),
             kernel_crates: owned(&["types", "arbiter", "circuit", "core", "sim", "prof"]),
             feature_exempt_crates: owned(&["faults", "net"]),
-            hot_arith_files: owned(&["crates/core/src/decide.rs"]),
+            hot_arith_files: owned(&["crates/core/src/kernel.rs"]),
             graph_exempt_crates: owned(&["lint", "xtask"]),
         }
     }
@@ -287,7 +271,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_nonempty() {
         let names = rule_names();
-        assert_eq!(names.len(), 15);
+        assert_eq!(names.len(), 13);
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();

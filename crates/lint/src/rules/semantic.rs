@@ -1,9 +1,7 @@
-//! The four semantic lints: checks that need the call graph, the
-//! workspace definition map, or cfg-gate analysis rather than a single
-//! line of tokens.
+//! The semantic lints: checks that need the call graph, the workspace
+//! definition map, or cfg-gate analysis rather than a single line of
+//! tokens.
 //!
-//! * `shard-purity` — every function reachable from the shard decide
-//!   kernel root must be free of statics, interior mutability, and I/O.
 //! * `panic-freedom-reachability` — aggregate per-function profile of
 //!   panic-capable sites (indexing, unwrap/expect, unchecked
 //!   arithmetic) reachable from `QosSwitch::step`.
@@ -12,13 +10,12 @@
 //! * `feature-gate-hygiene` — names defined *only* under a cargo
 //!   feature must not be referenced outside that feature's gate.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::dataflow::sites::{self, SiteKind};
 use crate::dataflow::{analyze_fn, FnAnalysis, SiteProof, WorkspaceFacts};
 use crate::diag::{Diagnostic, Discharge, Severity};
 use crate::graph::{CallGraph, Reachability};
-use crate::lexer::TokenKind;
 use crate::parse::{FnItem, ParsedFile};
 use crate::registry::EngineConfig;
 use crate::source::SourceFile;
@@ -51,13 +48,7 @@ pub fn check(
             locs.push((fi, fk));
         }
     }
-    let statics: BTreeSet<String> = parsed
-        .iter()
-        .flat_map(|p| p.statics.iter().cloned())
-        .collect();
     let graph = CallGraph::build_workspace(&graph_fns, files);
-
-    shard_purity(files, &graph, &statics, &rels, config, out);
 
     // The panic-freedom family shares the step-kernel reachable set and
     // one abstract-interpreter pass per reachable function.
@@ -179,109 +170,6 @@ fn feature_gate_hygiene(
                 ),
             );
         }
-    }
-}
-
-/// Impurity markers: interior-mutability containers.
-const INTERIOR_MUT: &[&str] = &[
-    "Cell",
-    "RefCell",
-    "UnsafeCell",
-    "OnceCell",
-    "OnceLock",
-    "LazyLock",
-    "Mutex",
-    "RwLock",
-    "Condvar",
-];
-
-/// Impurity markers: `std::<module>` paths that reach outside the
-/// snapshot (I/O, environment, wall-clock, threads).
-const IO_MODULES: &[&str] = &["fs", "io", "net", "process", "env", "thread", "time"];
-
-/// Impurity markers: bare idents that imply I/O or wall-clock access.
-const IO_IDENTS: &[&str] = &["stdout", "stderr", "stdin", "File", "Instant", "SystemTime"];
-
-/// Impurity markers: output macros.
-const IO_MACROS: &[&str] = &["print", "println", "eprint", "eprintln", "dbg"];
-
-/// Scans a function body for impurity markers; returns the sorted set
-/// of offending token texts (annotated by class).
-fn impurities(file: &SourceFile, f: &FnItem, statics: &BTreeSet<String>) -> BTreeSet<String> {
-    let body: Vec<&crate::lexer::Token> = file.tokens[f.body.clone()]
-        .iter()
-        .filter(|t| t.kind.is_code())
-        .collect();
-    let text_of = |k: usize| body.get(k).map(|t| file.tok_text(t));
-    let mut found = BTreeSet::new();
-    for (k, tok) in body.iter().enumerate() {
-        if tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let s = file.tok_text(tok);
-        if INTERIOR_MUT.contains(&s) || (s.starts_with("Atomic") && s.len() > "Atomic".len()) {
-            found.insert(format!("{s} (interior mutability)"));
-        } else if s == "atomic" {
-            found.insert("atomic:: (shared state)".to_string());
-        } else if IO_IDENTS.contains(&s) {
-            found.insert(format!("{s} (I/O or wall clock)"));
-        } else if IO_MACROS.contains(&s) && text_of(k + 1) == Some("!") {
-            found.insert(format!("{s}! (output)"));
-        } else if IO_MODULES.contains(&s)
-            && text_of(k.wrapping_sub(1)) == Some(":")
-            && text_of(k.wrapping_sub(2)) == Some(":")
-            && text_of(k.wrapping_sub(3)) == Some("std")
-        {
-            found.insert(format!("std::{s} (I/O)"));
-        } else if statics.contains(s) {
-            found.insert(format!("{s} (static item)"));
-        }
-    }
-    found
-}
-
-/// `shard-purity`: the parallel engine's bit-exactness proof rests on
-/// the decide kernel being a pure function of the prepared snapshot
-/// (DESIGN.md §9). This walks everything reachable from the configured
-/// root and reports any function whose body mentions statics, interior
-/// mutability, or I/O.
-fn shard_purity(
-    files: &[SourceFile],
-    graph: &CallGraph<'_>,
-    statics: &BTreeSet<String>,
-    rels: &[String],
-    config: &EngineConfig,
-    out: &mut Vec<Diagnostic>,
-) {
-    let roots = graph.roots(&config.purity_root_fn, Some(&config.purity_root_file), rels);
-    if roots.is_empty() {
-        return;
-    }
-    let reach = graph.reachable(&roots);
-    for &idx in &reach.seen {
-        let f = &graph.fns[idx];
-        let file = &files[f.file];
-        let found = impurities(file, f, statics);
-        if found.is_empty() {
-            continue;
-        }
-        let list: Vec<String> = found.iter().cloned().collect();
-        out.push(Diagnostic {
-            rule: "shard-purity",
-            severity: Severity::Deny,
-            file: file.rel.clone(),
-            line: f.line + 1,
-            message: format!(
-                "`{}` is reachable from `{}` ({}) but mentions {}; the shard decide kernel \
-                 must stay a pure function of its snapshot",
-                f.qual,
-                config.purity_root_fn,
-                reach.path_to(idx, graph.fns),
-                list.join(", ")
-            ),
-            anchor: format!("{}|{}", f.qual, list.join(",")),
-            baselined: false,
-        });
     }
 }
 
@@ -458,7 +346,7 @@ fn mask_width_safety(
 }
 
 /// `unchecked-hot-arith`: add/sub/mul/div/index sites in the configured
-/// hot files (the decide kernel) reachable from the step root whose
+/// hot files (the per-output arbitration pass) reachable from the step root whose
 /// operands the joint interval/known-bits domains cannot bound. Proven
 /// sites become `discharged` certificates.
 fn unchecked_hot_arith(

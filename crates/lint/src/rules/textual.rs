@@ -50,9 +50,6 @@ pub fn check_file(
     if rel.ends_with("crates/core/src/switch.rs") {
         invariant_site_coverage(file, out);
     }
-    if rel.ends_with("crates/core/src/decide.rs") {
-        no_shared_mut_in_shards(file, out);
-    }
     if rel.contains("crates/core/src/") || rel.contains("crates/faults/src/") {
         no_silent_degrade(file, out);
     }
@@ -323,33 +320,6 @@ fn invariant_site_coverage(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 format!(
                     "{site} emission has no paired sanitize:: check within {WINDOW} lines; \
                      add the invariant-sanitizer call (or a waiver)"
-                ),
-            );
-        }
-    }
-}
-
-/// `no-shared-mut-in-shards`: the shard arbitration kernel must stay
-/// free of shared mutable state — no locks, atomics, or interior
-/// mutability. The parallel engine's determinism proof (DESIGN.md §9)
-/// rests on `shard_decide` being a pure function of the prepared
-/// snapshot.
-fn no_shared_mut_in_shards(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for (_, line, text) in hot_tokens(file) {
-        let hit = matches!(
-            text,
-            "Mutex" | "RwLock" | "Condvar" | "Cell" | "RefCell" | "UnsafeCell"
-        ) || text.starts_with("Atomic")
-            || text == "atomic";
-        if hit {
-            push(
-                file,
-                out,
-                "no-shared-mut-in-shards",
-                line,
-                format!(
-                    "`{text}` in the shard decide kernel; shard_decide must be a pure \
-                     function of the prepared snapshot (no shared mutable state)"
                 ),
             );
         }

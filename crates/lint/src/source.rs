@@ -24,7 +24,7 @@ pub struct LineGates {
 /// One source file, lexed and annotated.
 pub struct SourceFile {
     /// Path relative to the workspace root, `/`-separated
-    /// (`crates/core/src/decide.rs`).
+    /// (`crates/core/src/kernel.rs`).
     pub rel: String,
     /// The owning crate's directory name under `crates/` (`core`), or
     /// the empty string for the root `src/` crate.

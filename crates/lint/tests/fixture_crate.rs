@@ -34,10 +34,6 @@ fn textual_fixture_set() -> Vec<(String, String)> {
             include_str!("../fixtures/invariant_coverage.rs"),
         ),
         src(
-            "crates/core/src/decide.rs",
-            include_str!("../fixtures/shared_mut_decide.rs"),
-        ),
-        src(
             "crates/core/src/admission.rs",
             include_str!("../fixtures/silent_degrade.rs"),
         ),
@@ -83,14 +79,13 @@ fn every_non_reachability_lint_fires_exactly_once() {
             "no-narrowing-cast",
             "no-nondeterministic-order",
             "no-print-in-lib",
-            "no-shared-mut-in-shards",
             "no-silent-degrade",
             "no-todo",
             "no-unwrap",
         ],
         "each fixture carries exactly one un-waived site per rule"
     );
-    assert_eq!(report.blocking().len(), 11);
+    assert_eq!(report.blocking().len(), 10);
 }
 
 #[test]
@@ -104,7 +99,6 @@ fn fire_sites_land_on_the_expected_lines() {
         ("no-narrowing-cast", "crates/stats/src/counter.rs", 5),
         ("no-print-in-lib", "crates/trace/src/report.rs", 4),
         ("invariant-site-coverage", "crates/core/src/switch.rs", 11),
-        ("no-shared-mut-in-shards", "crates/core/src/decide.rs", 5),
         ("no-silent-degrade", "crates/core/src/admission.rs", 6),
         ("no-nondeterministic-order", "crates/sim/src/order.rs", 8),
         ("feature-gate-hygiene", "crates/circuit/src/uses.rs", 6),
@@ -133,7 +127,6 @@ fn waivers_suppress_the_twin_sites() {
         "no-narrowing-cast",
         "no-print-in-lib",
         "invariant-site-coverage",
-        "no-shared-mut-in-shards",
         "no-silent-degrade",
         "no-nondeterministic-order",
         "feature-gate-hygiene",
@@ -158,7 +151,7 @@ fn feature_gate_stub_and_exempt_crate_pass() {
 
 #[test]
 fn prof_stub_twins_satisfy_feature_gate_hygiene() {
-    // The profiler's CycleProf/EngineProf pattern: the type name is
+    // The profiler's CycleProf pattern: the type name is
     // dual-defined (real under `prof`, zero-sized stub otherwise) and
     // never fires; a prof-only helper with no stub twin fires exactly
     // once, from the one ungated reference.
@@ -190,37 +183,6 @@ fn prof_stub_twins_satisfy_feature_gate_hygiene() {
 }
 
 #[test]
-fn shard_purity_catches_impurity_two_hops_below_the_root() {
-    // The ISSUE acceptance case: `tally` reads a static and sits two
-    // call-graph hops below `decide_output`.
-    let report = run_sources(
-        vec![src(
-            "crates/core/src/decide.rs",
-            include_str!("../fixtures/purity_two_hops.rs"),
-        )],
-        &EngineConfig::default(),
-    );
-    let hits = by_rule(&report, "shard-purity");
-    assert_eq!(hits.len(), 1, "{:?}", report.diagnostics);
-    let d = hits[0];
-    assert_eq!(d.line, 26, "anchored on `fn tally`");
-    assert!(
-        d.message
-            .contains("Switch::decide_output -> Switch::gather_requests -> tally"),
-        "path missing from: {}",
-        d.message
-    );
-    assert!(d.message.contains("HOT_DEBUG (static item)"));
-    // The waived impure helper (wall-clock access) is reachable too but
-    // stays suppressed — and the whole report holds nothing else.
-    assert!(!report
-        .diagnostics
-        .iter()
-        .any(|d| d.message.contains("noisy_helper")));
-    assert_eq!(report.diagnostics.len(), 1);
-}
-
-#[test]
 fn panic_freedom_profiles_reachable_functions() {
     let report = run_sources(
         vec![src(
@@ -245,7 +207,7 @@ fn panic_freedom_profiles_reachable_functions() {
 
 fn run_dataflow_fixtures() -> Report {
     // One connected workspace: the switch-file root calls into the
-    // decide-kernel fixture, which calls into the arbiter crate.
+    // arbitration-pass fixture, which calls into the arbiter crate.
     run_sources(
         vec![
             src(
@@ -253,7 +215,7 @@ fn run_dataflow_fixtures() -> Report {
                 include_str!("../fixtures/mask_width.rs"),
             ),
             src(
-                "crates/core/src/decide.rs",
+                "crates/core/src/kernel.rs",
                 include_str!("../fixtures/hot_arith.rs"),
             ),
             src(
@@ -305,7 +267,7 @@ fn hot_arith_fires_waives_and_discharges() {
     // Only the raw `a + b` fires; the masked add is proven and the
     // indexing site is waived.
     assert!(
-        hits.iter().all(|d| d.file == "crates/core/src/decide.rs"),
+        hits.iter().all(|d| d.file == "crates/core/src/kernel.rs"),
         "{hits:?}"
     );
     assert!(
@@ -319,7 +281,7 @@ fn hot_arith_fires_waives_and_discharges() {
         .iter()
         .find(|d| d.rule == "unchecked-hot-arith" && d.evidence.contains("bounded_diff"))
         .expect("the masked add must be discharged with evidence");
-    assert_eq!(proof.file, "crates/core/src/decide.rs");
+    assert_eq!(proof.file, "crates/core/src/kernel.rs");
 }
 
 #[test]
@@ -340,11 +302,11 @@ fn panic_freedom_reaches_across_crates_in_two_hops() {
 #[test]
 fn baseline_round_trip_unblocks_recorded_findings_only() {
     let report = run_textual_fixtures();
-    assert_eq!(report.blocking().len(), 11);
+    assert_eq!(report.blocking().len(), 10);
 
     // Grandfather today's findings, re-run, apply: nothing blocks.
     let baseline = Baseline::parse(&ssq_lint::baseline::render(&report.diagnostics));
-    assert_eq!(baseline.len(), 11);
+    assert_eq!(baseline.len(), 10);
     let mut rerun = run_textual_fixtures();
     baseline.apply(&mut rerun.diagnostics);
     assert!(rerun.blocking().is_empty(), "{:?}", rerun.blocking());

@@ -76,15 +76,6 @@ fn hashmap_in_string_is_not_nondeterminism() {
 }
 
 #[test]
-fn shared_mut_names_in_strings_stay_clean_in_decide() {
-    let r = run_one(
-        "crates/core/src/decide.rs",
-        "pub fn doc() -> &'static str {\n    \"no Mutex, RefCell, or AtomicU64 in shards\"\n}\n",
-    );
-    assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-}
-
-#[test]
 fn waiver_quoted_in_string_is_phantom_no_more() {
     // The regex engine read waivers from raw source text, so a quoted
     // marker on one line silently suppressed a real finding on the

@@ -825,7 +825,7 @@ impl Fabric {
             .get(&raw)
             .copied()
             .unwrap_or_default();
-        match timer.decide(policy, now.value(), &mut self.rng) {
+        match timer.request_retry(policy, now.value(), &mut self.rng) {
             RetryDecision::Retry { until } => {
                 self.links
                     .get_mut(l)

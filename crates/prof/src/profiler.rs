@@ -1,45 +1,36 @@
 //! The counter-sampled phase profiler.
 //!
 //! A [`Profiler`] owns one wall-clock accumulator per named phase plus
-//! optional per-shard accumulators for the decide phase. The embedding
-//! loop drives it with three calls:
+//! optional per-output accumulators for the arbitrate phase. The
+//! embedding loop drives it with three calls:
 //!
 //! 1. [`Profiler::begin_cycle`] once per simulated cycle — disarmed
 //!    this is one branch; armed it is one counter add plus a mask test,
 //!    and the return value says whether this cycle is sampled;
 //! 2. on sampled cycles, [`Stopwatch`] laps around each phase feeding
 //!    [`Profiler::record_phase`] (and, in detail mode,
-//!    [`Profiler::record_shard`] per output);
+//!    [`Profiler::record_output`] per output);
 //! 3. [`Profiler::report`] at the end of the run.
 //!
 //! Sampling is counter-based (every 2^k-th cycle, `k` chosen from the
 //! requested rate) so the armed-but-unsampled hot path never touches the
-//! OS clock. Phase sets are named slices: the switch kernel uses
-//! [`KERNEL_PHASES`] (`prepare`/`decide`/`commit`), the parallel engine
-//! [`ENGINE_STAGES`] (`gather`/`decide`/`merge`); both index their
-//! `decide` at position 1, which is what [`ProfReport::decide_fraction`]
-//! reads.
+//! OS clock. Phase sets are named slices; the switch kernel uses
+//! [`KERNEL_PHASES`] (`prepare`/`arbitrate`).
 
 use std::time::Instant;
 
 use ssq_stats::Table;
 
-/// The sequential kernel's phase names, in cycle order.
-pub const KERNEL_PHASES: &[&str] = &["prepare", "decide", "commit"];
-
-/// The parallel engine's stage names, in cycle order.
-pub const ENGINE_STAGES: &[&str] = &["gather", "decide", "merge"];
+/// The stepping kernel's phase names, in cycle order: `prepare`
+/// (clocks, injection, the blocked word) and `arbitrate` (the per-output
+/// passes: flit transmission and the one arbitration of each idle
+/// output).
+pub const KERNEL_PHASES: &[&str] = &["prepare", "arbitrate"];
 
 /// Index of the prepare phase in [`KERNEL_PHASES`].
 pub const PHASE_PREPARE: usize = 0;
-/// Index of the decide phase in both phase sets.
-pub const PHASE_DECIDE: usize = 1;
-/// Index of the commit phase in [`KERNEL_PHASES`].
-pub const PHASE_COMMIT: usize = 2;
-/// Index of the gather stage in [`ENGINE_STAGES`].
-pub const PHASE_GATHER: usize = 0;
-/// Index of the merge stage in [`ENGINE_STAGES`].
-pub const PHASE_MERGE: usize = 2;
+/// Index of the arbitrate phase in [`KERNEL_PHASES`].
+pub const PHASE_ARBITRATE: usize = 1;
 
 /// A monotonic nanosecond lap timer around one phase.
 #[derive(Debug, Clone, Copy)]
@@ -80,14 +71,9 @@ impl Acc {
         self.ns = self.ns.saturating_add(ns);
         self.samples = self.samples.saturating_add(1);
     }
-
-    fn merge(&mut self, other: Acc) {
-        self.ns = self.ns.saturating_add(other.ns);
-        self.samples = self.samples.saturating_add(other.samples);
-    }
 }
 
-/// Counter-sampled per-phase (and optionally per-shard) wall-clock
+/// Counter-sampled per-phase (and optionally per-output) wall-clock
 /// accumulators. See the module docs for the driving protocol.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -100,7 +86,7 @@ pub struct Profiler {
     sampled: u64,
     sampling: bool,
     phases: Vec<Acc>,
-    shards: Vec<Acc>,
+    outputs: Vec<Acc>,
 }
 
 impl Profiler {
@@ -116,20 +102,14 @@ impl Profiler {
             sampled: 0,
             sampling: false,
             phases: vec![Acc::default(); names.len()],
-            shards: Vec::new(),
+            outputs: Vec::new(),
         }
     }
 
-    /// A disarmed profiler over the sequential kernel's phases.
+    /// A disarmed profiler over the stepping kernel's phases.
     #[must_use]
     pub fn kernel() -> Self {
         Profiler::new(KERNEL_PHASES)
-    }
-
-    /// A disarmed profiler over the parallel engine's stages.
-    #[must_use]
-    pub fn engine() -> Self {
-        Profiler::new(ENGINE_STAGES)
     }
 
     /// Arms sampling at roughly one cycle in `sample_every` (rounded up
@@ -140,12 +120,12 @@ impl Profiler {
     }
 
     /// Arms like [`Profiler::arm`] and additionally attributes the
-    /// decide phase per shard (one accumulator per output).
-    pub fn arm_detailed(&mut self, sample_every: u64, shards: usize) {
+    /// arbitrate phase per output (one accumulator each).
+    pub fn arm_detailed(&mut self, sample_every: u64, outputs: usize) {
         self.arm(sample_every);
         self.detail = true;
-        if self.shards.len() < shards {
-            self.shards.resize(shards, Acc::default());
+        if self.outputs.len() < outputs {
+            self.outputs.resize(outputs, Acc::default());
         }
     }
 
@@ -155,13 +135,23 @@ impl Profiler {
         self.sampling = false;
     }
 
+    /// Clears the accumulated totals and cycle counts, keeping the armed
+    /// state and sampling rate (a measurement-window boundary).
+    pub fn reset(&mut self) {
+        self.cycles = 0;
+        self.sampled = 0;
+        self.sampling = false;
+        self.phases.fill(Acc::default());
+        self.outputs.fill(Acc::default());
+    }
+
     /// Whether the profiler is currently armed.
     #[must_use]
     pub fn armed(&self) -> bool {
         self.armed
     }
 
-    /// Whether per-shard attribution is on.
+    /// Whether per-output attribution is on.
     #[must_use]
     pub fn detailed(&self) -> bool {
         self.detail
@@ -199,11 +189,11 @@ impl Profiler {
         }
     }
 
-    /// Adds one decide lap to a shard accumulator (detail mode; unknown
-    /// shards are ignored).
+    /// Adds one arbitrate lap to an output's accumulator (detail mode;
+    /// unknown outputs are ignored).
     #[inline]
-    pub fn record_shard(&mut self, shard: usize, ns: u64) {
-        if let Some(acc) = self.shards.get_mut(shard) {
+    pub fn record_output(&mut self, output: usize, ns: u64) {
+        if let Some(acc) = self.outputs.get_mut(output) {
             acc.record(ns);
         }
     }
@@ -218,24 +208,6 @@ impl Profiler {
     #[must_use]
     pub fn sampled_cycles(&self) -> u64 {
         self.sampled
-    }
-
-    /// Folds another profiler's accumulators into this one (used to
-    /// merge per-worker profilers after a parallel run). Phases are
-    /// matched positionally; a mismatched phase set merges the common
-    /// prefix rather than panicking — accounting must never abort a run.
-    pub fn merge(&mut self, other: &Profiler) {
-        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
-            mine.merge(*theirs);
-        }
-        if self.shards.len() < other.shards.len() {
-            self.shards.resize(other.shards.len(), Acc::default());
-        }
-        for (mine, theirs) in self.shards.iter_mut().zip(&other.shards) {
-            mine.merge(*theirs);
-        }
-        self.cycles = self.cycles.saturating_add(other.cycles);
-        self.sampled = self.sampled.saturating_add(other.sampled);
     }
 
     /// Snapshots the accumulated totals.
@@ -254,12 +226,12 @@ impl Profiler {
                     samples: acc.samples,
                 })
                 .collect(),
-            shards: self
-                .shards
+            outputs: self
+                .outputs
                 .iter()
                 .enumerate()
-                .map(|(shard, acc)| ShardLine {
-                    shard,
+                .map(|(output, acc)| OutputLine {
+                    output,
                     ns: acc.ns,
                     samples: acc.samples,
                 })
@@ -271,7 +243,7 @@ impl Profiler {
 /// One phase's accumulated totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseLine {
-    /// Phase name (`prepare`, `decide`, ...).
+    /// Phase name (`prepare` or `arbitrate`).
     pub name: String,
     /// Total sampled nanoseconds.
     pub ns: u64,
@@ -279,11 +251,11 @@ pub struct PhaseLine {
     pub samples: u64,
 }
 
-/// One shard's accumulated decide totals (detail mode).
+/// One output's accumulated arbitrate totals (detail mode).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardLine {
-    /// Shard (output) index.
-    pub shard: usize,
+pub struct OutputLine {
+    /// Output index.
+    pub output: usize,
     /// Total sampled nanoseconds.
     pub ns: u64,
     /// Number of laps recorded.
@@ -299,8 +271,8 @@ pub struct ProfReport {
     pub sampled_cycles: u64,
     /// Per-phase totals, in phase order.
     pub phases: Vec<PhaseLine>,
-    /// Per-shard decide totals (empty unless detail mode was armed).
-    pub shards: Vec<ShardLine>,
+    /// Per-output arbitrate totals (empty unless detail mode was armed).
+    pub outputs: Vec<OutputLine>,
 }
 
 impl ProfReport {
@@ -331,13 +303,6 @@ impl ProfReport {
             .map(|p| p.ns as f64 / total as f64)
     }
 
-    /// The decide phase's share of total sampled time — Amdahl's `f`
-    /// bounding parallel speedup.
-    #[must_use]
-    pub fn decide_fraction(&self) -> Option<f64> {
-        self.fraction("decide")
-    }
-
     /// A named phase's mean nanoseconds per sampled cycle.
     #[must_use]
     pub fn ns_per_cycle(&self, name: &str) -> Option<f64> {
@@ -348,15 +313,6 @@ impl ProfReport {
             .iter()
             .find(|p| p.name == name)
             .map(|p| p.ns as f64 / self.sampled_cycles as f64)
-    }
-
-    /// The Amdahl projection `1 / ((1 - f) + f / threads)` for the
-    /// measured decide fraction, or `None` if nothing was sampled.
-    #[must_use]
-    pub fn amdahl_projection(&self, threads: u64) -> Option<f64> {
-        let f = self.decide_fraction()?;
-        let t = threads.max(1) as f64;
-        Some(1.0 / ((1.0 - f) + f / t))
     }
 
     /// The per-phase breakdown as a table (`phase`, `ns/cycle`,
@@ -378,14 +334,18 @@ impl ProfReport {
         t
     }
 
-    /// The per-shard decide breakdown as a table (`shard`, `ns/cycle`,
-    /// `share`, `samples`); empty unless detail mode was armed.
+    /// The per-output arbitrate breakdown as a table (`output`,
+    /// `ns/cycle`, `share`, `samples`); empty unless detail mode was
+    /// armed.
     #[must_use]
-    pub fn shard_table(&self) -> Table {
-        let mut t = Table::with_columns(&["shard", "decide ns/cycle", "share", "samples"]);
+    pub fn output_table(&self) -> Table {
+        let mut t = Table::with_columns(&["output", "arbitrate ns/cycle", "share", "samples"]);
         t.numeric();
-        let total: u64 = self.shards.iter().fold(0u64, |a, s| a.saturating_add(s.ns));
-        for s in &self.shards {
+        let total: u64 = self
+            .outputs
+            .iter()
+            .fold(0u64, |a, s| a.saturating_add(s.ns));
+        for s in &self.outputs {
             let per_cycle = if self.sampled_cycles == 0 {
                 String::from("-")
             } else {
@@ -397,7 +357,7 @@ impl ProfReport {
                 format!("{:.1}%", s.ns as f64 / total as f64 * 100.0)
             };
             t.row(vec![
-                s.shard.to_string(),
+                s.output.to_string(),
                 per_cycle,
                 share,
                 s.samples.to_string(),
@@ -414,11 +374,8 @@ impl ProfReport {
             self.sampled_cycles, self.cycles
         );
         out.push_str(&self.phase_table().to_text());
-        if let Some(f) = self.decide_fraction() {
-            out.push_str(&format!("decide fraction: {:.1}%\n", f * 100.0));
-        }
-        if !self.shards.is_empty() {
-            out.push_str(&self.shard_table().to_text());
+        if !self.outputs.is_empty() {
+            out.push_str(&self.output_table().to_text());
         }
         out
     }
@@ -446,17 +403,30 @@ mod tests {
         for _ in 0..64 {
             if p.begin_cycle() {
                 sampled += 1;
-                p.record_phase(PHASE_PREPARE, 10);
-                p.record_phase(PHASE_DECIDE, 30);
-                p.record_phase(PHASE_COMMIT, 10);
+                p.record_phase(PHASE_PREPARE, 20);
+                p.record_phase(PHASE_ARBITRATE, 30);
             }
         }
         assert_eq!(sampled, 64);
         let r = p.report();
         assert_eq!(r.sampled_cycles, 64);
         assert_eq!(r.total_ns(), 64 * 50);
-        assert!((r.decide_fraction().unwrap() - 0.6).abs() < 1e-9);
-        assert!((r.ns_per_cycle("prepare").unwrap() - 10.0).abs() < 1e-9);
+        assert!((r.fraction("arbitrate").unwrap() - 0.6).abs() < 1e-9);
+        assert!((r.ns_per_cycle("prepare").unwrap() - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reset_clears_totals_but_stays_armed() {
+        let mut p = Profiler::kernel();
+        p.arm_detailed(1, 2);
+        assert!(p.begin_cycle());
+        p.record_phase(PHASE_PREPARE, 10);
+        p.record_output(1, 10);
+        p.reset();
+        assert!(p.report().is_empty());
+        assert_eq!(p.cycles(), 0);
+        assert!(p.begin_cycle(), "still armed");
+        assert_eq!(p.report().outputs.len(), 2);
     }
 
     #[test]
@@ -470,38 +440,20 @@ mod tests {
     }
 
     #[test]
-    fn detail_mode_attributes_shards() {
+    fn detail_mode_attributes_outputs() {
         let mut p = Profiler::kernel();
         p.arm_detailed(1, 4);
         assert!(p.begin_cycle());
-        p.record_shard(0, 5);
-        p.record_shard(3, 15);
-        p.record_shard(99, 1); // out of range: ignored, not a panic
+        p.record_output(0, 5);
+        p.record_output(3, 15);
+        p.record_output(99, 1); // out of range: ignored, not a panic
         let r = p.report();
-        assert_eq!(r.shards.len(), 4);
-        assert_eq!(r.shards[0].ns, 5);
-        assert_eq!(r.shards[3].ns, 15);
-        assert_eq!(r.shards[1].ns, 0);
-        let text = r.shard_table().to_text();
+        assert_eq!(r.outputs.len(), 4);
+        assert_eq!(r.outputs[0].ns, 5);
+        assert_eq!(r.outputs[3].ns, 15);
+        assert_eq!(r.outputs[1].ns, 0);
+        let text = r.output_table().to_text();
         assert!(text.contains("75.0%"), "{text}");
-    }
-
-    #[test]
-    fn merge_folds_phases_and_counts() {
-        let mut a = Profiler::engine();
-        a.arm(1);
-        assert!(a.begin_cycle());
-        a.record_phase(PHASE_GATHER, 7);
-        let mut b = Profiler::engine();
-        b.arm(1);
-        assert!(b.begin_cycle());
-        b.record_phase(PHASE_GATHER, 3);
-        b.record_phase(PHASE_MERGE, 10);
-        a.merge(&b);
-        let r = a.report();
-        assert_eq!(r.cycles, 2);
-        assert_eq!(r.phases[PHASE_GATHER].ns, 10);
-        assert_eq!(r.phases[PHASE_MERGE].ns, 10);
     }
 
     #[test]
@@ -514,22 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn amdahl_projection_matches_formula() {
-        let mut p = Profiler::kernel();
-        p.arm(1);
-        assert!(p.begin_cycle());
-        p.record_phase(PHASE_DECIDE, 60);
-        p.record_phase(PHASE_COMMIT, 40);
-        let r = p.report();
-        let projected = r.amdahl_projection(4).unwrap();
-        assert!((projected - 1.0 / (0.4 + 0.6 / 4.0)).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_report_renders_without_percentages() {
         let r = Profiler::kernel().report();
         assert!(r.is_empty());
-        assert!(r.decide_fraction().is_none());
+        assert!(r.fraction("arbitrate").is_none());
         assert!(r.render_text().contains("profiled 0 of 0 cycles"));
     }
 }

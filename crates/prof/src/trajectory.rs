@@ -1,25 +1,18 @@
 //! The schema-versioned perf-trajectory record (`results/BENCH_*.json`).
 //!
 //! Every PR's `cargo xtask bench --json` run appends one document to
-//! the trajectory: cycles/sec per (engine, radix, load) cell, the
-//! profiler's per-phase breakdown, and enough host metadata (core
-//! count, thread counts, build profile) to tell a measurement from an
-//! Amdahl projection. `--diff` compares a fresh run against the latest
+//! the trajectory: cycles/sec per (runner, radix, load) cell, the
+//! profiler's per-phase breakdown, and host metadata (core count,
+//! build profile). `--diff` compares a fresh run against the latest
 //! prior document and fails on regressions past a threshold, which is
 //! what `scripts/check.sh` gates on; `ssq perf-report` renders the
 //! whole trajectory as one table.
 //!
-//! Schema history:
-//! * **1** (PR 6) — cells with `decide_fraction` and engine rows; no
-//!   per-phase data, host core count at top level.
-//! * **2** (PR 7) — adds `pr`, `quick`, a `host` object (cores, and the
-//!   par engine's thread count so oversubscribed runs are labelled), a
-//!   per-cell `phases` breakdown from the in-switch profiler, and
-//!   per-cell `amdahl` projection points explicitly marked
-//!   `"mode": "projected"`.
-//!
-//! The parser reads both; the renderer always writes the current
-//! schema.
+//! Schema 3 is the only schema: every cell holds measured rows only
+//! (the dense and the idle-skipping runner) plus the `prepare` /
+//! `arbitrate` phase breakdown. Schemas 1 and 2 also carried a decide
+//! fraction, Amdahl projections and a parallel-engine thread count; no
+//! document in either survives, and the parser rejects them.
 
 use std::path::{Path, PathBuf};
 
@@ -28,12 +21,12 @@ use ssq_stats::Table;
 use crate::json::{escape, Json};
 
 /// The schema version this crate writes.
-pub const CURRENT_SCHEMA: u64 = 2;
+pub const CURRENT_SCHEMA: u64 = 3;
 
 /// One phase row of a cell's profiler breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPhase {
-    /// Phase name (`prepare` / `decide` / `commit`).
+    /// Phase name (`prepare` / `arbitrate`).
     pub phase: String,
     /// Mean sampled nanoseconds per cycle.
     pub ns_per_cycle: f64,
@@ -41,26 +34,15 @@ pub struct BenchPhase {
     pub fraction: f64,
 }
 
-/// One measured engine row of a cell.
+/// One measured runner row of a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEngine {
-    /// Engine name (`sequential` / `par`).
+    /// Runner name (`dense` / `idle-skip`).
     pub engine: String,
-    /// Total compute threads the engine ran with.
-    pub threads: u64,
     /// Measured wall-clock simulated cycles per second.
     pub cycles_per_sec: f64,
-    /// Delivered flits (the seq-vs-par equality check).
+    /// Delivered flits (the dense-vs-idle-skip equality check).
     pub delivered_flits: u64,
-}
-
-/// One Amdahl projection point (never a measurement).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmdahlPoint {
-    /// Hypothetical core/thread count.
-    pub threads: u64,
-    /// Projected speedup over sequential at that count.
-    pub speedup: f64,
 }
 
 /// One (radix, load) cell of the benchmark matrix.
@@ -70,24 +52,19 @@ pub struct BenchCell {
     pub radix: u64,
     /// Offered-load label (`bernoulli-0.5` / `saturated`).
     pub load: String,
-    /// The decide phase's share of cycle time (Amdahl's `f`).
-    pub decide_fraction: f64,
-    /// Profiler per-phase breakdown (empty in schema-1 documents).
+    /// Profiler per-phase breakdown (empty for the fabric cell).
     pub phases: Vec<BenchPhase>,
-    /// Measured engine rows.
+    /// Measured runner rows.
     pub engines: Vec<BenchEngine>,
-    /// Amdahl projections derived from `decide_fraction` (labelled
-    /// projections, empty in schema-1 documents).
-    pub amdahl: Vec<AmdahlPoint>,
 }
 
 impl BenchCell {
-    /// The measured cycles/sec for an engine row, if present.
+    /// The measured cycles/sec for a runner row, if present.
     #[must_use]
-    pub fn rate(&self, engine: &str, threads: u64) -> Option<f64> {
+    pub fn rate(&self, engine: &str) -> Option<f64> {
         self.engines
             .iter()
-            .find(|e| e.engine == engine && e.threads == threads)
+            .find(|e| e.engine == engine)
             .map(|e| e.cycles_per_sec)
     }
 }
@@ -106,8 +83,6 @@ pub struct BenchDoc {
     pub quick: bool,
     /// Host core count at capture time.
     pub host_cores: u64,
-    /// Thread count the par engine rows used (0 when unknown).
-    pub par_threads: u64,
     /// Warm-up cycles per cell.
     pub warmup_cycles: u64,
     /// Measured cycles per cell.
@@ -131,7 +106,7 @@ impl BenchDoc {
             .find(|c| c.radix == radix && c.load == load)
     }
 
-    /// Parses a schema-1 or schema-2 BENCH document.
+    /// Parses a schema-3 BENCH document.
     ///
     /// # Errors
     ///
@@ -139,29 +114,10 @@ impl BenchDoc {
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
         let root = Json::parse(text).map_err(|e| e.to_string())?;
         let schema = field_u64(&root, "schema")?;
-        if schema == 0 || schema > CURRENT_SCHEMA {
+        if schema != CURRENT_SCHEMA {
             return Err(format!("unsupported BENCH schema {schema}"));
         }
-        let bench_name = root
-            .get("bench")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let pr = match root.get("pr").and_then(Json::as_u64) {
-            Some(pr) => pr,
-            // Schema 1 carries the PR only in the name ("BENCH_6").
-            None => bench_name
-                .strip_prefix("BENCH_")
-                .and_then(|n| n.parse::<u64>().ok())
-                .ok_or_else(|| format!("cannot derive PR number from bench name {bench_name:?}"))?,
-        };
-        let (host_cores, par_threads) = match root.get("host") {
-            Some(host) => (
-                field_u64(host, "cores")?,
-                host.get("par_threads").and_then(Json::as_u64).unwrap_or(0),
-            ),
-            None => (field_u64(&root, "host_cores")?, 0),
-        };
+        let host = root.get("host").ok_or("missing host object")?;
         let mut cells = Vec::new();
         for cell in root
             .get("cells")
@@ -172,15 +128,14 @@ impl BenchDoc {
         }
         Ok(BenchDoc {
             schema,
-            pr,
+            pr: field_u64(&root, "pr")?,
             profile: root
                 .get("profile")
                 .and_then(Json::as_str)
                 .unwrap_or("unknown")
                 .to_string(),
             quick: root.get("quick").and_then(Json::as_bool).unwrap_or(false),
-            host_cores,
-            par_threads,
+            host_cores: field_u64(host, "cores")?,
             warmup_cycles: field_u64(&root, "warmup_cycles")?,
             measure_cycles: field_u64(&root, "measure_cycles")?,
             cells,
@@ -198,8 +153,8 @@ impl BenchDoc {
         out.push_str(&format!("  \"profile\": \"{}\",\n", escape(&self.profile)));
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
         out.push_str(&format!(
-            "  \"host\": {{\"cores\": {}, \"par_threads\": {}}},\n",
-            self.host_cores, self.par_threads
+            "  \"host\": {{\"cores\": {}}},\n",
+            self.host_cores
         ));
         out.push_str(&format!(
             "  \"warmup_cycles\": {},\n  \"measure_cycles\": {},\n  \"cells\": [",
@@ -242,7 +197,6 @@ fn parse_cell(cell: &Json) -> Result<BenchCell, String> {
     {
         engines.push(BenchEngine {
             engine: field_str(e, "engine")?,
-            threads: field_u64(e, "threads")?,
             cycles_per_sec: field_f64(e, "cycles_per_sec")?,
             delivered_flits: field_u64(e, "delivered_flits")?,
         });
@@ -257,31 +211,19 @@ fn parse_cell(cell: &Json) -> Result<BenchCell, String> {
             });
         }
     }
-    let mut amdahl = Vec::new();
-    if let Some(list) = cell.get("amdahl").and_then(Json::as_arr) {
-        for a in list {
-            amdahl.push(AmdahlPoint {
-                threads: field_u64(a, "threads")?,
-                speedup: field_f64(a, "speedup")?,
-            });
-        }
-    }
     Ok(BenchCell {
         radix: field_u64(cell, "radix")?,
         load: field_str(cell, "load")?,
-        decide_fraction: field_f64(cell, "decide_fraction")?,
         phases,
         engines,
-        amdahl,
     })
 }
 
 fn render_cell(cell: &BenchCell) -> String {
     let mut out = format!(
-        "    {{\"radix\": {}, \"load\": \"{}\", \"decide_fraction\": {:.4},\n",
+        "    {{\"radix\": {}, \"load\": \"{}\",\n",
         cell.radix,
-        escape(&cell.load),
-        cell.decide_fraction
+        escape(&cell.load)
     );
     out.push_str("     \"phases\": [");
     for (i, p) in cell.phases.iter().enumerate() {
@@ -297,30 +239,21 @@ fn render_cell(cell: &BenchCell) -> String {
     for (i, e) in cell.engines.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
-            "      {{\"engine\": \"{}\", \"threads\": {}, \"cycles_per_sec\": {:.0}, \
+            "      {{\"engine\": \"{}\", \"cycles_per_sec\": {:.0}, \
              \"delivered_flits\": {}, \"mode\": \"measured\"}}",
             escape(&e.engine),
-            e.threads,
             e.cycles_per_sec,
             e.delivered_flits
         ));
     }
-    out.push_str("\n     ],\n     \"amdahl\": [");
-    for (i, a) in cell.amdahl.iter().enumerate() {
-        out.push_str(if i == 0 { "" } else { ", " });
-        out.push_str(&format!(
-            "{{\"threads\": {}, \"speedup\": {:.2}, \"mode\": \"projected\"}}",
-            a.threads, a.speedup
-        ));
-    }
-    out.push_str("]}");
+    out.push_str("\n     ]}");
     out
 }
 
 /// The outcome of diffing a fresh capture against a prior one.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
-    /// One human-readable line per compared (engine, radix, load) cell.
+    /// One human-readable line per compared (runner, radix, load) cell.
     pub lines: Vec<String>,
     /// Cells whose throughput ratio fell below the threshold.
     pub regressions: Vec<String>,
@@ -361,12 +294,9 @@ pub fn diff(prev: &BenchDoc, next: &BenchDoc, threshold: f64) -> DiffReport {
             continue;
         };
         for engine in &cell.engines {
-            let label = format!(
-                "radix{} {} {} x{}",
-                cell.radix, cell.load, engine.engine, engine.threads
-            );
-            let Some(before) = prior.rate(&engine.engine, engine.threads) else {
-                report.lines.push(format!("{label}: new engine row"));
+            let label = format!("radix{} {} {}", cell.radix, cell.load, engine.engine);
+            let Some(before) = prior.rate(&engine.engine) else {
+                report.lines.push(format!("{label}: new runner row"));
                 continue;
             };
             if before <= 0.0 {
@@ -417,7 +347,7 @@ pub fn find_benches(dir: &Path) -> Vec<(u64, PathBuf)> {
 }
 
 /// Renders a set of parsed BENCH documents (oldest first) as one
-/// trajectory table: one row per (pr, radix, load, engine).
+/// trajectory table: one row per (pr, radix, load, runner).
 #[must_use]
 pub fn trajectory_table(docs: &[BenchDoc]) -> Table {
     let mut t = Table::with_columns(&[
@@ -426,10 +356,8 @@ pub fn trajectory_table(docs: &[BenchDoc]) -> Table {
         "cores",
         "radix",
         "load",
-        "engine",
-        "threads",
+        "runner",
         "cycles/sec",
-        "decide_frac",
     ]);
     t.numeric();
     for doc in docs {
@@ -442,9 +370,7 @@ pub fn trajectory_table(docs: &[BenchDoc]) -> Table {
                     cell.radix.to_string(),
                     cell.load.clone(),
                     engine.engine.clone(),
-                    engine.threads.to_string(),
                     format!("{:.0}", engine.cycles_per_sec),
-                    format!("{:.3}", cell.decide_fraction),
                 ]);
             }
         }
@@ -456,20 +382,18 @@ pub fn trajectory_table(docs: &[BenchDoc]) -> Table {
 mod tests {
     use super::*;
 
-    fn doc(pr: u64, seq_rate: f64, par_rate: f64) -> BenchDoc {
+    fn doc(pr: u64, dense_rate: f64, skip_rate: f64) -> BenchDoc {
         BenchDoc {
             schema: CURRENT_SCHEMA,
             pr,
             profile: "release".to_string(),
             quick: false,
             host_cores: 4,
-            par_threads: 2,
             warmup_cycles: 200,
             measure_cycles: 1500,
             cells: vec![BenchCell {
                 radix: 16,
                 load: "saturated".to_string(),
-                decide_fraction: 0.57,
                 phases: vec![
                     BenchPhase {
                         phase: "prepare".to_string(),
@@ -477,34 +401,23 @@ mod tests {
                         fraction: 0.2,
                     },
                     BenchPhase {
-                        phase: "decide".to_string(),
-                        ns_per_cycle: 2850.0,
-                        fraction: 0.57,
-                    },
-                    BenchPhase {
-                        phase: "commit".to_string(),
-                        ns_per_cycle: 1150.0,
-                        fraction: 0.23,
+                        phase: "arbitrate".to_string(),
+                        ns_per_cycle: 4000.0,
+                        fraction: 0.8,
                     },
                 ],
                 engines: vec![
                     BenchEngine {
-                        engine: "sequential".to_string(),
-                        threads: 1,
-                        cycles_per_sec: seq_rate,
+                        engine: "dense".to_string(),
+                        cycles_per_sec: dense_rate,
                         delivered_flits: 9000,
                     },
                     BenchEngine {
-                        engine: "par".to_string(),
-                        threads: 2,
-                        cycles_per_sec: par_rate,
+                        engine: "idle-skip".to_string(),
+                        cycles_per_sec: skip_rate,
                         delivered_flits: 9000,
                     },
                 ],
-                amdahl: vec![AmdahlPoint {
-                    threads: 4,
-                    speedup: 1.75,
-                }],
             }],
         }
     }
@@ -520,37 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_schema_1_document() {
-        // The shape PR 6 wrote (results/BENCH_6.json).
-        let text = r#"{
-  "schema": 1,
-  "bench": "BENCH_6",
-  "profile": "release",
-  "host_cores": 1,
-  "warmup_cycles": 200,
-  "measure_cycles": 1500,
-  "cells": [
-    {"radix": 16, "load": "saturated", "decide_fraction": 0.5770, "engines": [
-      {"engine": "sequential", "threads": 1, "cycles_per_sec": 75000, "delivered_flits": 100},
-      {"engine": "par", "threads": 2, "cycles_per_sec": 70000, "delivered_flits": 100}
-    ]}
-  ]
-}"#;
-        let parsed = BenchDoc::parse(text).expect("schema 1 parses");
-        assert_eq!(parsed.schema, 1);
-        assert_eq!(parsed.pr, 6, "PR derived from the bench name");
-        assert_eq!(parsed.host_cores, 1);
-        assert!(parsed.phases_empty());
-        assert_eq!(
-            parsed.cell(16, "saturated").and_then(|c| c.rate("par", 2)),
-            Some(70000.0)
-        );
-    }
-
-    impl BenchDoc {
-        fn phases_empty(&self) -> bool {
-            self.cells.iter().all(|c| c.phases.is_empty())
-        }
+    fn rejects_other_schemas() {
+        let text = doc(7, 1.0, 1.0)
+            .render()
+            .replace("\"schema\": 3", "\"schema\": 2");
+        let err = BenchDoc::parse(&text).expect_err("schema 2 is gone");
+        assert!(err.contains("unsupported BENCH schema 2"), "{err}");
     }
 
     #[test]
@@ -565,15 +453,14 @@ mod tests {
 
     #[test]
     fn diff_fails_on_injected_synthetic_regression() {
-        // The ISSUE acceptance case: a synthetic 10x slowdown in one
-        // engine cell must fail the gate.
+        // A synthetic 10x slowdown in one runner cell must fail the gate.
         let prev = doc(6, 75_000.0, 71_000.0);
         let next = doc(7, 7_500.0, 71_000.0);
         let report = diff(&prev, &next, 0.5);
         assert!(!report.passed());
         assert_eq!(report.regressions.len(), 1);
         assert!(
-            report.regressions[0].contains("sequential x1"),
+            report.regressions[0].contains("saturated dense"),
             "{:?}",
             report.regressions
         );
@@ -593,19 +480,17 @@ mod tests {
     #[test]
     fn diff_reports_new_cells_and_rows_without_failing() {
         let mut prev = doc(6, 75_000.0, 71_000.0);
-        prev.cells[0].engines.pop(); // prior run had no par row
+        prev.cells[0].engines.pop(); // prior run had no idle-skip row
         let mut next = doc(7, 74_000.0, 70_000.0);
         next.cells.push(BenchCell {
             radix: 64,
             load: "saturated".to_string(),
-            decide_fraction: 0.6,
             phases: Vec::new(),
             engines: Vec::new(),
-            amdahl: Vec::new(),
         });
         let report = diff(&prev, &next, 0.5);
         assert!(report.passed());
-        assert!(report.lines.iter().any(|l| l.contains("new engine row")));
+        assert!(report.lines.iter().any(|l| l.contains("new runner row")));
         assert!(report.lines.iter().any(|l| l.contains("new cell")));
     }
 
@@ -629,10 +514,8 @@ mod tests {
         let docs = vec![doc(6, 75_000.0, 71_000.0), doc(7, 80_000.0, 90_000.0)];
         let table = trajectory_table(&docs);
         let csv = table.to_csv();
-        assert!(
-            csv.starts_with("pr,profile,cores,radix,load,engine,threads,cycles/sec,decide_frac")
-        );
+        assert!(csv.starts_with("pr,profile,cores,radix,load,runner,cycles/sec"));
         assert_eq!(csv.lines().count(), 5, "{csv}");
-        assert!(csv.contains("7,release,4,16,saturated,par,2,90000,0.570"));
+        assert!(csv.contains("7,release,4,16,saturated,idle-skip,90000"));
     }
 }

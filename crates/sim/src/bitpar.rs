@@ -1,40 +1,38 @@
-//! The bit-parallel (word-wide) engine: event-driven stepping over an
+//! The idle-skipping runner: event-driven stepping over an
 //! [`EventModel`].
 //!
-//! The third engine beside the dense sequential [`Runner`] and the
-//! sharded [`ParRunner`](crate::ParRunner). It exploits two structural
-//! facts about the radix ≤ 64 switch:
+//! [`BitparRunner`] runs the same stepping kernel as the dense
+//! [`Runner`](crate::Runner) and differs from it only in
+//! [`EventModel::skip_idle`]: when the model is *provably quiescent* (no
+//! buffered traffic, no transmits in flight, only clock state
+//! advancing) the only future activity is the next deterministic
+//! arrival, so the runner jumps straight to it after batching the
+//! per-cycle clock effects. At 5% load this removes the vast majority
+//! of cycles outright; under random (unpredictable) traffic it never
+//! engages and the runner steps densely.
 //!
-//! 1. **Word-wide cycles** — every per-output request/blocked/eligible
-//!    set fits one `u64`, so a cycle's decide phase runs on mask
-//!    arithmetic instead of per-port probing ([`EventModel::step_fast`]).
-//! 2. **Idle skipping** — when the model is *provably quiescent* (no
-//!    buffered traffic, no transmits in flight, only clock state
-//!    advancing) the only future activity is the next deterministic
-//!    arrival, so the runner jumps straight to it after batching the
-//!    per-cycle clock effects ([`EventModel::skip_idle`]). At 5% load
-//!    this removes the vast majority of cycles outright.
-//!
-//! Both are held to the same bar as the sharded engine: byte-identical
-//! counters, metrics, and event traces against the sequential runner —
-//! decay-epoch events included, which is why `skip_idle` must emit them
-//! with the exact cycle stamps dense stepping would have produced.
+//! The bar is byte identity with the dense runner: counters, metrics,
+//! and event traces — decay-epoch events included, which is why
+//! `skip_idle` must emit them with the exact cycle stamps dense
+//! stepping would have produced.
 
-use ssq_types::{Cycle, Cycles};
+use ssq_types::Cycle;
 
-use crate::runner::{CycleModel, MonitorOutcome, Monitored, Schedule};
+use crate::runner::{CycleModel, Schedule};
 
-/// A [`CycleModel`] with a word-wide fast path and a quiescence probe.
+/// A [`CycleModel`] with a quiescence probe.
 ///
-/// The contract is strict byte-identity: for any cycle sequence,
-/// `step_fast(now)` must leave the model in exactly the state `step(now)`
-/// would, and `skip_idle(now, limit)` must either report no skip
-/// (returning `now`) or advance the model over `now..target` leaving it
-/// in exactly the state `target - now` dense steps would — trace events
-/// and their cycle stamps included.
+/// The contract is strict byte-identity: `skip_idle(now, limit)` must
+/// either report no skip (returning `now`) or advance the model over
+/// `now..target` leaving it in exactly the state `target - now` dense
+/// steps would — trace events and their cycle stamps included.
 pub trait EventModel: CycleModel {
-    /// Advances through cycle `now` using the word-wide fast path.
-    fn step_fast(&mut self, now: Cycle);
+    /// Advances through cycle `now`: the one stepping kernel,
+    /// [`CycleModel::step`].
+    #[inline]
+    fn step_fast(&mut self, now: Cycle) {
+        self.step(now);
+    }
 
     /// If the model is quiescent at `now`, batches the pure clock
     /// effects of the skippable cycles and returns the first cycle in
@@ -90,73 +88,12 @@ impl BitparRunner {
         let end = warm_end + self.schedule.measure();
         Self::run_phase(model, now, end)
     }
-
-    /// The watchdogged twin of
-    /// [`Runner::run_monitored`](crate::Runner::run_monitored), stepping
-    /// **densely** with [`EventModel::step_fast`]: the stall window and
-    /// violation checks are defined per executed cycle, and skipping
-    /// idle cycles would change which cycles the watchdog observes. Runs
-    /// that want the watchdog (chaos campaigns, flight recording) keep
-    /// dense semantics; runs that want the idle-skip speedup use
-    /// [`BitparRunner::run`].
-    pub fn run_monitored<M, F>(
-        &self,
-        model: &mut M,
-        stall_window: Cycles,
-        mut observe: F,
-    ) -> MonitorOutcome
-    where
-        M: EventModel + Monitored + ?Sized,
-        F: FnMut(&M, Cycle),
-    {
-        assert!(stall_window.value() > 0, "stall window must be non-empty");
-        let warm_end = Cycle::ZERO + self.schedule.warmup();
-        let end = warm_end + self.schedule.measure();
-        let mut now = Cycle::ZERO;
-        let mut last_progress: Option<u64> = None;
-        let mut stalled_for: u64 = 0;
-        while now < end {
-            if now == warm_end {
-                model.begin_measurement(now);
-            }
-            model.step_fast(now);
-            observe(model, now);
-            if let Some(reason) = model.violation() {
-                return MonitorOutcome::Tripped { at: now, reason };
-            }
-            match model.progress() {
-                None => {
-                    last_progress = None;
-                    stalled_for = 0;
-                }
-                Some(p) => {
-                    if last_progress == Some(p) {
-                        stalled_for += 1;
-                        if stalled_for >= stall_window.value() {
-                            return MonitorOutcome::Tripped {
-                                at: now,
-                                reason: format!(
-                                    "stall: pending work but no progress for {} cycles \
-                                     (progress measure stuck at {p})",
-                                    stall_window.value()
-                                ),
-                            };
-                        }
-                    } else {
-                        last_progress = Some(p);
-                        stalled_for = 0;
-                    }
-                }
-            }
-            now = now.next();
-        }
-        MonitorOutcome::Completed(now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssq_types::Cycles;
 
     /// Steps densely every 10th cycle and skips the rest, recording
     /// which cycles executed and which were batched.
@@ -176,9 +113,6 @@ mod tests {
     }
 
     impl EventModel for Hopper {
-        fn step_fast(&mut self, now: Cycle) {
-            self.stepped.push(now.value());
-        }
         fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
             if now.value() % 10 == 0 {
                 return now; // dense work due
@@ -221,9 +155,6 @@ mod tests {
             fn begin_measurement(&mut self, _now: Cycle) {}
         }
         impl EventModel for Dense {
-            fn step_fast(&mut self, now: Cycle) {
-                self.0.push(now.value());
-            }
             fn skip_idle(&mut self, now: Cycle, _limit: Cycle) -> Cycle {
                 now
             }
@@ -232,34 +163,5 @@ mod tests {
         let end = BitparRunner::new(Schedule::new(Cycles::ZERO, Cycles::new(5))).run(&mut m);
         assert_eq!(end, Cycle::new(5));
         assert_eq!(m.0, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn monitored_runs_are_dense_and_watchdogged() {
-        struct Stuck;
-        impl CycleModel for Stuck {
-            fn step(&mut self, _: Cycle) {}
-            fn begin_measurement(&mut self, _: Cycle) {}
-        }
-        impl EventModel for Stuck {
-            fn step_fast(&mut self, _: Cycle) {}
-            fn skip_idle(&mut self, _now: Cycle, limit: Cycle) -> Cycle {
-                limit // would skip everything if the watchdog allowed it
-            }
-        }
-        impl Monitored for Stuck {
-            fn progress(&self) -> Option<u64> {
-                Some(7) // pending work, never progressing
-            }
-        }
-        let outcome = BitparRunner::new(Schedule::new(Cycles::ZERO, Cycles::new(100)))
-            .run_monitored(&mut Stuck, Cycles::new(5), |_, _| {});
-        match outcome {
-            MonitorOutcome::Tripped { at, reason } => {
-                assert_eq!(at, Cycle::new(5));
-                assert!(reason.contains("stall"), "{reason}");
-            }
-            MonitorOutcome::Completed(_) => panic!("stall must trip"),
-        }
     }
 }

@@ -12,13 +12,10 @@
 //!   [`Runner::run_monitored`]) that backs the flight recorder.
 //! * [`sweep`] — runs one experiment per parameter point across threads
 //!   (std scoped threads), preserving input order in the results.
-//! * [`ShardedModel`] / [`ParRunner`] / [`with_engine`] — the sharded
-//!   parallel engine: one cycle as parallel per-shard decisions plus a
-//!   serial in-order merge, bit-identical to the sequential runner at
-//!   any thread count.
-//! * [`EventModel`] / [`BitparRunner`] — the bit-parallel engine:
-//!   word-wide mask cycles plus event-driven idle skipping, held to the
-//!   same byte-identity bar.
+//! * [`EventModel`] / [`BitparRunner`] — the idle-skipping runner:
+//!   the same stepping kernel as [`Runner`], plus event-driven jumps
+//!   over provably quiescent stretches, held to byte identity with the
+//!   dense runner.
 //!
 //! (The Value Change Dump writer lives in `ssq_core::vcd`, next to the
 //! switch recorder that uses it.)
@@ -61,14 +58,10 @@
 #![warn(missing_docs)]
 
 mod bitpar;
-mod par;
-pub mod prof;
 mod runner;
 mod sweep;
 
 pub use bitpar::{BitparRunner, EventModel};
-pub use par::{with_engine, Engine, ParRunner, ShardedModel};
-pub use prof::EngineProf;
 pub use runner::{CycleModel, MonitorOutcome, Monitored, Runner, Schedule};
 pub use ssq_check::{Preflight, Report};
 pub use sweep::{sweep, sweep_with_threads};

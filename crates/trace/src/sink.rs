@@ -180,8 +180,7 @@ impl<W: Write> fmt::Debug for JsonlSink<W> {
 }
 
 /// A boxed writer a [`Tracer`] can stream JSONL to. `Send + Sync` so a
-/// tracer-bearing model can be shared immutably across the parallel
-/// engine's decide shards.
+/// tracer-bearing model can move to, and be read from, sweep threads.
 pub type BoxedWriter = Box<dyn Write + Send + Sync>;
 
 /// An attached sink (the tracer owns heterogeneous sinks without a

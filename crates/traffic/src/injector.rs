@@ -45,8 +45,8 @@ pub struct Injector {
 impl Injector {
     /// Creates an injector. The owning input port is attached later with
     /// [`Injector::for_input`] (defaults to input 0). The boxed source
-    /// and pattern are `Send + Sync` so a switch holding injectors can be
-    /// snapshotted immutably across the parallel engine's decide shards.
+    /// and pattern are `Send + Sync` so a switch holding injectors can
+    /// move to, and be read from, sweep threads.
     #[must_use]
     pub fn new(
         source: Box<dyn TrafficSource + Send + Sync>,

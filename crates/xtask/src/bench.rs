@@ -1,30 +1,28 @@
 //! `cargo xtask bench`: the perf-trajectory harness (ROADMAP item 5).
 //!
-//! Runs a small engine × radix × load matrix — sequential vs. 2-thread
-//! sharded engine vs. the word-wide bitpar engine, radix 16 and 64,
-//! Bernoulli-0.5 / saturated / periodic-5% uniform traffic (the last is
-//! the idle-skipping showcase) — and reports wall-clock simulated
-//! cycles/sec plus the
-//! in-switch profiler's prepare/decide/commit breakdown (xtask compiles
-//! `ssq-core`/`ssq-sim` with the `prof` feature; feature unification
-//! keeps that scoped to this binary's build graph). The decide
-//! fraction — Amdahl's `f` bounding parallel speedup — comes from the
-//! same profiler, the one source of truth shared with the `par_speedup`
-//! microbench.
+//! Runs a small runner × radix × load matrix — the dense `Runner` vs.
+//! the idle-skipping `BitparRunner`, radix 16 and 64, Bernoulli-0.5 /
+//! saturated / periodic-5% uniform traffic (the last is the
+//! idle-skipping showcase) — and reports wall-clock simulated
+//! cycles/sec plus the in-switch profiler's prepare/arbitrate breakdown
+//! (xtask compiles `ssq-core` with the `prof` feature; feature
+//! unification keeps that scoped to this binary's build graph).
 //!
 //! * `--json` writes a schema-versioned `results/BENCH_<pr>.json`
-//!   ([`ssq_prof::BenchDoc`]) embedding the phase breakdown, host
-//!   metadata, and explicitly-labelled Amdahl projections.
+//!   ([`ssq_prof::BenchDoc`]) embedding the phase breakdown and host
+//!   metadata.
 //! * `--diff` locates the latest prior `results/BENCH_*.json`, compares
-//!   per-(engine, radix, load) cycles/sec, and exits nonzero when any
+//!   per-(runner, radix, load) cycles/sec, and exits nonzero when any
 //!   cell regresses past `--threshold` (default 0.5 = half the prior
 //!   throughput). Cross-profile (debug vs release) comparisons are
 //!   skipped, not failed.
 //! * `--quick` shrinks the matrix (radix 16, fewer cycles) for the
-//!   `scripts/check.sh` regression gate.
+//!   `scripts/check.sh` regression gate. A quick probe is not a
+//!   trajectory record: it takes no PR slot and refuses `--json`.
 //! * `--pr N` overrides the trajectory slot (default: one past the
 //!   newest existing document).
-//! * `--shards` additionally prints the per-output decide attribution.
+//! * `--outputs` additionally prints the per-output arbitrate
+//!   attribution.
 //!
 //! Record trajectory numbers with a release build:
 //! `cargo run --release -p xtask -- bench --json --diff`.
@@ -36,10 +34,10 @@ use std::time::Instant;
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
 use ssq_net::{Fabric, FlowSpec, LinkDiscipline, Topology};
-use ssq_prof::{trajectory, AmdahlPoint, BenchCell, BenchDoc, BenchEngine, BenchPhase, ProfReport};
-use ssq_sim::{BitparRunner, CycleModel, ParRunner, Runner, Schedule};
+use ssq_prof::{trajectory, BenchCell, BenchDoc, BenchEngine, BenchPhase, ProfReport};
+use ssq_sim::{BitparRunner, Runner, Schedule};
 use ssq_traffic::{Bernoulli, Injector, Periodic, Saturating, TrafficSource, UniformDest};
-use ssq_types::{Cycle, Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
+use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
 
 /// Full-matrix schedule (matches the BENCH_6 seed).
 const WARMUP: u64 = 200;
@@ -50,17 +48,11 @@ const QUICK_MEASURE: u64 = 400;
 
 const RADICES: &[usize] = &[16, 64];
 const QUICK_RADICES: &[usize] = &[16];
-const PAR_THREADS: usize = 2;
 
-/// Thread counts the Amdahl projection is evaluated at. These are
-/// projections from the measured decide fraction, never measurements —
-/// the JSON labels them `"mode": "projected"`.
-const AMDAHL_THREADS: &[u64] = &[2, 4, 8];
-
-/// Sampling rate for the stage profiler riding the timed parallel run:
-/// one cycle in 64 pays three timer reads, which is noise against the
-/// multi-microsecond cycles it measures.
-const PAR_SAMPLE_EVERY: u64 = 64;
+/// Timed repetitions per runner row; the recorded rate is their
+/// median, so one descheduled run on a shared host cannot move a cell
+/// (single quick-probe samples of one cell spread up to 2x).
+const REPS: usize = 5;
 
 /// The offered-load points of the matrix.
 #[derive(Clone, Copy)]
@@ -70,8 +62,8 @@ enum Load {
     /// A source that always has a packet ready (saturation throughput).
     Saturated,
     /// Deterministic 5% load: an 8-flit packet every 160 cycles. The
-    /// arrivals are predictable, so this is the cell where the bitpar
-    /// engine's idle skipping engages.
+    /// arrivals are predictable, so this is the cell where idle
+    /// skipping engages.
     Periodic5,
 }
 
@@ -100,7 +92,7 @@ impl Load {
 }
 
 /// Builds the benchmark rig: per-input GB reservations at each input's
-/// "home" output keep the SSVC machinery engaged on every shard, and
+/// "home" output keep the SSVC machinery engaged on every output, and
 /// best-effort uniform traffic contends all outputs.
 fn rig(radix: usize, load: Load) -> QosSwitch {
     let width = Geometry::min_bus_width(radix, 3).max(128);
@@ -136,93 +128,70 @@ fn rig(radix: usize, load: Load) -> QosSwitch {
     switch
 }
 
-/// Times an unprofiled sequential run: (cycles/sec, delivered flits).
-fn timed_sequential(radix: usize, load: Load, schedule: Schedule) -> (f64, u64) {
-    let mut switch = rig(radix, load);
-    let start = Instant::now();
-    Runner::new(schedule).run(&mut switch);
-    let secs = start.elapsed().as_secs_f64();
+/// Times `run` on [`REPS`] fresh models from `build` (construction is
+/// not timed): (median cycles/sec, delivered flits of the last run).
+fn median_rate<M>(
+    schedule: Schedule,
+    build: impl Fn() -> M,
+    run: impl Fn(&mut M) -> u64,
+) -> (f64, u64) {
     let cycles = schedule.warmup().value() + schedule.measure().value();
-    (cycles as f64 / secs, switch.counters().delivered_flits)
+    let mut rates = Vec::with_capacity(REPS);
+    let mut flits = 0;
+    for _ in 0..REPS {
+        let mut model = build();
+        let start = Instant::now();
+        flits = run(&mut model);
+        rates.push(cycles as f64 / start.elapsed().as_secs_f64());
+    }
+    rates.sort_by(f64::total_cmp);
+    (rates[REPS / 2], flits)
 }
 
-/// Times an unprofiled bitpar run (word-wide cycles plus idle skipping
-/// where the load permits): (cycles/sec, delivered flits).
-fn timed_bitpar(radix: usize, load: Load, schedule: Schedule) -> (f64, u64) {
-    let mut switch = rig(radix, load);
-    let start = Instant::now();
-    BitparRunner::new(schedule).run(&mut switch);
-    let secs = start.elapsed().as_secs_f64();
-    let cycles = schedule.warmup().value() + schedule.measure().value();
-    (cycles as f64 / secs, switch.counters().delivered_flits)
-}
-
-/// Times a parallel run with the engine-stage profiler sampling at
-/// [`PAR_SAMPLE_EVERY`]: (cycles/sec, delivered flits, stage report).
-fn timed_parallel(radix: usize, load: Load, schedule: Schedule) -> (f64, u64, Option<ProfReport>) {
-    let mut switch = rig(radix, load);
-    let start = Instant::now();
-    let (_, stages, _load_acc) =
-        ParRunner::new(schedule, PAR_THREADS).run_profiled(&mut switch, PAR_SAMPLE_EVERY);
-    let secs = start.elapsed().as_secs_f64();
-    let cycles = schedule.warmup().value() + schedule.measure().value();
-    (
-        cycles as f64 / secs,
-        switch.counters().delivered_flits,
-        stages,
+/// Times unprofiled runs on the dense runner, or with `skip_idle` on
+/// the idle-skipping one: (median cycles/sec, delivered flits).
+fn timed_run(radix: usize, load: Load, schedule: Schedule, skip_idle: bool) -> (f64, u64) {
+    median_rate(
+        schedule,
+        || rig(radix, load),
+        |switch| {
+            if skip_idle {
+                BitparRunner::new(schedule).run(switch);
+            } else {
+                Runner::new(schedule).run(switch);
+            }
+            switch.counters().delivered_flits
+        },
     )
 }
 
-/// Runs the kernel profiler over the measured phase of a sequential
-/// run: every measured cycle is sampled and decide time is attributed
-/// per output. This run is never used for throughput numbers — the
-/// timer laps would inflate them.
+/// Runs the kernel profiler over the measured phase of an idle-skipping
+/// run: every stepped measured cycle is sampled and arbitrate time is
+/// attributed per output. This run is never used for throughput
+/// numbers — the timer laps would inflate them.
 fn kernel_profile(radix: usize, load: Load, schedule: Schedule) -> ProfReport {
     let mut switch = rig(radix, load);
-    let warm_end = Cycle::ZERO + schedule.warmup();
-    let end = warm_end + schedule.measure();
-    let mut now = Cycle::ZERO;
-    while now < warm_end {
-        switch.step(now);
-        now = now.next();
-    }
-    switch.begin_measurement(now);
+    // The switch clears the accumulators at the measurement boundary.
     switch.prof_arm_detailed(1);
-    while now < end {
-        switch.step(now);
-        now = now.next();
-    }
+    BitparRunner::new(schedule).run(&mut switch);
     switch
         .prof_report()
         .expect("xtask builds ssq-core with the prof feature")
 }
 
-/// Measures one (radix, load) cell: throughput for both engines, the
-/// kernel phase breakdown, and the Amdahl projections derived from it.
-/// Returns the cell, the parallel engine's stage report, and the full
-/// kernel report (for the per-shard table).
-fn measure_cell(
-    radix: usize,
-    load: Load,
-    schedule: Schedule,
-) -> (BenchCell, Option<ProfReport>, ProfReport) {
-    let (seq_rate, seq_flits) = timed_sequential(radix, load, schedule);
-    let (par_rate, par_flits, stages) = timed_parallel(radix, load, schedule);
+/// Measures one (radix, load) cell: throughput on both runners and the
+/// kernel phase breakdown. Returns the cell and the full kernel report
+/// (for the per-output table).
+fn measure_cell(radix: usize, load: Load, schedule: Schedule) -> (BenchCell, ProfReport) {
+    let (dense_rate, dense_flits) = timed_run(radix, load, schedule, false);
+    let (skip_rate, skip_flits) = timed_run(radix, load, schedule, true);
     assert_eq!(
-        seq_flits,
-        par_flits,
-        "parallel engine diverged from sequential (radix {radix}, {})",
-        load.name()
-    );
-    let (bit_rate, bit_flits) = timed_bitpar(radix, load, schedule);
-    assert_eq!(
-        seq_flits,
-        bit_flits,
-        "bitpar engine diverged from sequential (radix {radix}, {})",
+        dense_flits,
+        skip_flits,
+        "idle-skipping runner diverged from dense (radix {radix}, {})",
         load.name()
     );
     let kernel = kernel_profile(radix, load, schedule);
-    let decide_fraction = kernel.decide_fraction().unwrap_or(0.0);
     let phases = kernel
         .phases
         .iter()
@@ -232,52 +201,33 @@ fn measure_cell(
             fraction: kernel.fraction(&p.name).unwrap_or(0.0),
         })
         .collect();
-    let amdahl = AMDAHL_THREADS
-        .iter()
-        .filter_map(|&t| {
-            kernel.amdahl_projection(t).map(|speedup| AmdahlPoint {
-                threads: t,
-                speedup,
-            })
-        })
-        .collect();
     let cell = BenchCell {
         radix: radix as u64,
         load: load.name().to_string(),
-        decide_fraction,
         phases,
         engines: vec![
             BenchEngine {
-                engine: "sequential".to_string(),
-                threads: 1,
-                cycles_per_sec: seq_rate,
-                delivered_flits: seq_flits,
+                engine: "dense".to_string(),
+                cycles_per_sec: dense_rate,
+                delivered_flits: dense_flits,
             },
             BenchEngine {
-                engine: "par".to_string(),
-                threads: PAR_THREADS as u64,
-                cycles_per_sec: par_rate,
-                delivered_flits: par_flits,
-            },
-            BenchEngine {
-                engine: "bitpar".to_string(),
-                threads: 1,
-                cycles_per_sec: bit_rate,
-                delivered_flits: bit_flits,
+                engine: "idle-skip".to_string(),
+                cycles_per_sec: skip_rate,
+                delivered_flits: skip_flits,
             },
         ],
-        amdahl,
     };
-    (cell, stages, kernel)
+    (cell, kernel)
 }
 
 /// Multi-hop fabric throughput: a 3-hop credit-backpressure chain with
 /// two GB flows and a GL flow spanning the whole path (the healthy
 /// chain-credit campaign rig). One trajectory row pins the fabric's
-/// sequential cycles/sec, so a slowdown in the hop/link machinery fails
-/// the same gate as the switch kernels. Phases and Amdahl points stay
-/// empty: the fabric drives whole switches, so the kernel profiler's
-/// prepare/decide/commit split does not apply.
+/// dense cycles/sec, so a slowdown in the hop/link machinery fails the
+/// same gate as the switch kernel. Phases stay empty: the fabric drives
+/// whole switches, so the kernel profiler's prepare/arbitrate split
+/// does not apply.
 fn measure_fabric_cell(schedule: Schedule) -> BenchCell {
     let topology = Topology::chain(3, LinkDiscipline::Credit);
     let flows = [
@@ -293,37 +243,37 @@ fn measure_fabric_cell(schedule: Schedule) -> BenchCell {
             .rate(0.05)
             .every(100),
     ];
-    let mut fabric = Fabric::new(topology, &flows, 7).expect("valid fabric");
-    let start = Instant::now();
-    Runner::new(schedule).run(&mut fabric);
-    let secs = start.elapsed().as_secs_f64();
-    let cycles = schedule.warmup().value() + schedule.measure().value();
+    let (rate, flits) = median_rate(
+        schedule,
+        || Fabric::new(topology.clone(), &flows, 7).expect("valid fabric"),
+        |fabric| {
+            Runner::new(schedule).run(fabric);
+            fabric.counters().delivered_flits
+        },
+    );
     BenchCell {
         radix: 8,
         load: "fabric-chain3-credit".to_string(),
-        decide_fraction: 0.0,
         phases: Vec::new(),
         engines: vec![BenchEngine {
-            engine: "sequential".to_string(),
-            threads: 1,
-            cycles_per_sec: cycles as f64 / secs,
-            delivered_flits: fabric.counters().delivered_flits,
+            engine: "dense".to_string(),
+            cycles_per_sec: rate,
+            delivered_flits: flits,
         }],
-        amdahl: Vec::new(),
     }
 }
 
 /// Prints one cell's human-readable summary.
-fn print_cell(cell: &BenchCell, stages: Option<&ProfReport>, shards: bool, kernel: &ProfReport) {
+fn print_cell(cell: &BenchCell, kernel: Option<&ProfReport>, outputs: bool) {
     for e in &cell.engines {
         println!(
-            "bench/radix{:<3} {:<14} {:<10} x{} {:>12.0} cycles/sec  ({} flits)",
-            cell.radix, cell.load, e.engine, e.threads, e.cycles_per_sec, e.delivered_flits
+            "bench/radix{:<3} {:<20} {:<10} {:>12.0} cycles/sec  ({} flits)",
+            cell.radix, cell.load, e.engine, e.cycles_per_sec, e.delivered_flits
         );
     }
     for p in &cell.phases {
         println!(
-            "bench/radix{:<3} {:<14} phase {:<8} {:>8.0} ns/cycle  {:>5.1}%",
+            "bench/radix{:<3} {:<20} phase {:<9} {:>8.0} ns/cycle  {:>5.1}%",
             cell.radix,
             cell.load,
             p.phase,
@@ -331,43 +281,18 @@ fn print_cell(cell: &BenchCell, stages: Option<&ProfReport>, shards: bool, kerne
             p.fraction * 100.0
         );
     }
-    if let Some(st) = stages {
-        let frac = |name: &str| st.fraction(name).unwrap_or(0.0) * 100.0;
-        println!(
-            "bench/radix{:<3} {:<14} par stages: gather {:.1}% decide {:.1}% merge {:.1}% \
-             ({} sampled cycles)",
-            cell.radix,
-            cell.load,
-            frac("gather"),
-            frac("decide"),
-            frac("merge"),
-            st.sampled_cycles
-        );
-    }
-    let projections: Vec<String> = cell
-        .amdahl
-        .iter()
-        .map(|a| format!("x{}→{:.2}", a.threads, a.speedup))
-        .collect();
-    println!(
-        "bench/radix{:<3} {:<14} decide_fraction {:>5.1}%  amdahl projected [{}]",
-        cell.radix,
-        cell.load,
-        cell.decide_fraction * 100.0,
-        projections.join(", ")
-    );
-    if shards {
-        print!("{}", kernel.shard_table().to_text());
+    if let Some(kernel) = kernel.filter(|_| outputs) {
+        print!("{}", kernel.output_table().to_text());
     }
 }
 
 /// Entry point for
-/// `cargo xtask bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--shards]`.
+/// `cargo xtask bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--outputs]`.
 pub fn run(args: &[String], root: &Path) -> ExitCode {
     let mut json = false;
     let mut diff = false;
     let mut quick = false;
-    let mut shards = false;
+    let mut outputs = false;
     let mut threshold = 0.5f64;
     let mut pr_override: Option<u64> = None;
     let mut it = args.iter();
@@ -376,7 +301,7 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
             "--json" => json = true,
             "--diff" => diff = true,
             "--quick" => quick = true,
-            "--shards" => shards = true,
+            "--outputs" => outputs = true,
             "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
                 Some(v) if v > 0.0 && v <= 1.0 => threshold = v,
                 _ => {
@@ -398,6 +323,11 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         }
     }
 
+    if quick && (json || pr_override.is_some()) {
+        eprintln!("a --quick probe is not a trajectory record: it takes no --json or --pr");
+        return ExitCode::FAILURE;
+    }
+
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -415,35 +345,34 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
 
     let results_dir = root.join("results");
     let existing = trajectory::find_benches(&results_dir);
-    let pr = pr_override.unwrap_or_else(|| existing.last().map_or(1, |(n, _)| n + 1));
+    // A quick probe has no slot of its own (pr 0) and diffs against the
+    // newest record.
+    let pr = if quick {
+        0
+    } else {
+        pr_override.unwrap_or_else(|| existing.last().map_or(1, |(n, _)| n + 1))
+    };
+    let label = if quick {
+        "quick probe".to_string()
+    } else {
+        format!("BENCH_{pr}")
+    };
 
     println!(
-        "== xtask bench (BENCH_{pr}: {} cycles/cell, host cores: {host_cores}, \
-         par threads: {PAR_THREADS}, profile: {profile}{}) ==",
+        "== xtask bench ({label}: {} cycles/cell, host cores: {host_cores}, profile: {profile}) ==",
         warmup + measure,
-        if quick { ", quick" } else { "" }
     );
 
     let mut cells = Vec::new();
     for &radix in radices {
         for load in [Load::Bernoulli50, Load::Saturated, Load::Periodic5] {
-            let (cell, stages, kernel) = measure_cell(radix, load, schedule);
-            print_cell(&cell, stages.as_ref(), shards, &kernel);
+            let (cell, kernel) = measure_cell(radix, load, schedule);
+            print_cell(&cell, Some(&kernel), outputs);
             cells.push(cell);
         }
     }
     let fabric_cell = measure_fabric_cell(schedule);
-    for e in &fabric_cell.engines {
-        println!(
-            "bench/radix{:<3} {:<14} {:<10} x{} {:>12.0} cycles/sec  ({} flits)",
-            fabric_cell.radix,
-            fabric_cell.load,
-            e.engine,
-            e.threads,
-            e.cycles_per_sec,
-            e.delivered_flits
-        );
-    }
+    print_cell(&fabric_cell, None, outputs);
     cells.push(fabric_cell);
 
     let doc = BenchDoc {
@@ -452,7 +381,6 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         profile: profile.to_string(),
         quick,
         host_cores: host_cores as u64,
-        par_threads: PAR_THREADS as u64,
         warmup_cycles: warmup,
         measure_cycles: measure,
         cells,
@@ -463,7 +391,7 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         // The baseline is the newest document strictly older than the
         // slot being (re)measured, so regenerating BENCH_<pr> still
         // diffs against its predecessor.
-        let baseline = existing.iter().rev().find(|(n, _)| *n < pr);
+        let baseline = existing.iter().rev().find(|(n, _)| quick || *n < pr);
         match baseline {
             None => println!("bench diff: no prior BENCH_*.json to compare against"),
             Some((n, path)) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
@@ -524,10 +452,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_profile_samples_every_measured_cycle() {
+    fn kernel_profile_samples_every_stepped_measured_cycle() {
         let report = kernel_profile(8, Load::Saturated, tiny_schedule());
-        assert_eq!(report.sampled_cycles, 60, "armed after warm-up, rate 1");
-        let f: f64 = ["prepare", "decide", "commit"]
+        assert_eq!(
+            report.sampled_cycles, 60,
+            "saturated: every measured cycle steps"
+        );
+        let f: f64 = ["prepare", "arbitrate"]
             .iter()
             .map(|p| report.fraction(p).expect("phase present"))
             .sum();
@@ -535,31 +466,30 @@ mod tests {
             (f - 1.0).abs() < 1e-9,
             "phase fractions partition the cycle"
         );
-        let decide = report.decide_fraction().expect("sampled");
-        assert!(decide > 0.0 && decide < 1.0, "decide fraction {decide}");
-        assert_eq!(report.shards.len(), 8, "per-output decide attribution");
-        assert!(report.shards.iter().any(|s| s.ns > 0));
+        assert_eq!(report.outputs.len(), 8, "per-output arbitrate attribution");
+        assert!(report.outputs.iter().any(|s| s.ns > 0));
     }
 
     #[test]
-    fn measured_cell_embeds_phases_and_labelled_projections() {
-        let (cell, stages, _kernel) = measure_cell(8, Load::Bernoulli50, tiny_schedule());
+    fn kernel_profile_counts_only_stepped_cycles_when_skipping() {
+        let report = kernel_profile(8, Load::Periodic5, tiny_schedule());
+        assert!(
+            report.cycles < 60,
+            "periodic load skips idle cycles: {} stepped",
+            report.cycles
+        );
+    }
+
+    #[test]
+    fn measured_cell_embeds_phases_for_both_runners() {
+        let (cell, _kernel) = measure_cell(8, Load::Bernoulli50, tiny_schedule());
         assert_eq!(cell.radix, 8);
-        assert_eq!(cell.phases.len(), 3);
-        assert_eq!(cell.engines.len(), 3);
-        for e in &cell.engines[1..] {
-            assert_eq!(
-                cell.engines[0].delivered_flits, e.delivered_flits,
-                "{} engine agrees bit for bit",
-                e.engine
-            );
-        }
-        assert_eq!(cell.amdahl.len(), AMDAHL_THREADS.len());
-        for a in &cell.amdahl {
-            assert!(a.speedup >= 1.0 && a.speedup <= a.threads as f64);
-        }
-        let stages = stages.expect("xtask builds ssq-sim with prof");
-        assert!(stages.sampled_cycles > 0, "stage profiler sampled the run");
+        assert_eq!(cell.phases.len(), 2);
+        assert_eq!(cell.engines.len(), 2);
+        assert_eq!(
+            cell.engines[0].delivered_flits, cell.engines[1].delivered_flits,
+            "the runners agree bit for bit"
+        );
     }
 
     #[test]
@@ -572,19 +502,18 @@ mod tests {
             cell.engines[0].delivered_flits > 0,
             "the 3-hop chain must deliver within 300 cycles"
         );
-        assert!(cell.phases.is_empty() && cell.amdahl.is_empty());
+        assert!(cell.phases.is_empty());
     }
 
     #[test]
     fn rendered_doc_round_trips_through_the_parser() {
-        let (cell, _, _) = measure_cell(8, Load::Saturated, tiny_schedule());
+        let (cell, _) = measure_cell(8, Load::Saturated, tiny_schedule());
         let doc = BenchDoc {
             schema: trajectory::CURRENT_SCHEMA,
             pr: 99,
             profile: "debug".to_string(),
             quick: true,
             host_cores: 4,
-            par_threads: PAR_THREADS as u64,
             warmup_cycles: 20,
             measure_cycles: 60,
             cells: vec![cell],
@@ -597,6 +526,6 @@ mod tests {
         assert_eq!(parsed.render(), text);
         assert_eq!(parsed.pr, 99);
         assert_eq!(parsed.cells.len(), 1);
-        assert_eq!(parsed.cells[0].phases.len(), 3);
+        assert_eq!(parsed.cells[0].phases.len(), 2);
     }
 }

@@ -1,20 +1,20 @@
-//! Inline three-way engine differential battery for `xtask verify`.
+//! Inline runner differential battery for `xtask verify`.
 //!
 //! The fast verify tier model-checks the switch's invariants; this
-//! battery checks the *engines* against each other. Each scenario builds
-//! the same switch several times and drives the copies with the
-//! sequential [`Runner`], the sharded [`ParRunner`] at several thread
-//! counts, and the word-wide [`BitparRunner`], then compares every
-//! observable: the aggregate counters, the GB metrics table (as CSV
-//! bytes), and the full event trace. Any difference is a verify failure
-//! — the fast engines' contract is bit-exactness, not statistical
-//! agreement.
+//! battery checks the two *runners* against each other. Each scenario
+//! builds the same switch twice and drives the copies with the dense
+//! [`Runner`] and the idle-skipping [`BitparRunner`], then compares
+//! every observable: the aggregate counters, the GB metrics table (as
+//! CSV bytes), and the full event trace. Any difference is a verify
+//! failure — idle skipping's contract is bit-exactness, not statistical
+//! agreement. (The stepping kernel itself is pinned by the recorded
+//! digests in `tests/golden/`, checked by `cargo test`.)
 
 use std::fmt::Write as _;
 
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig, SwitchCounters};
-use ssq_sim::{BitparRunner, ParRunner, Runner, Schedule};
+use ssq_sim::{BitparRunner, Runner, Schedule};
 use ssq_trace::{Event, RingSink};
 use ssq_traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
 use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -23,8 +23,6 @@ use ssq_types::{Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass}
 const WARMUP: u64 = 200;
 /// Measured cycles per battery scenario.
 const MEASURE: u64 = 2_000;
-/// Thread counts the parallel engine is held to.
-const THREADS: &[usize] = &[1, 2, 4];
 
 /// Battery switches are all 8x8.
 const RADIX: usize = 8;
@@ -237,52 +235,41 @@ fn observe(switch: &QosSwitch) -> Observation {
     }
 }
 
-fn run_sequential(build: fn() -> QosSwitch) -> Observation {
+/// Runs one scenario on the dense runner, or with `skip_idle` on the
+/// idle-skipping one.
+fn run(build: fn() -> QosSwitch, skip_idle: bool) -> Observation {
     let mut switch = build();
     switch.tracer_mut().attach_ring(1 << 16);
-    Runner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE))).run(&mut switch);
-    observe(&switch)
-}
-
-fn run_parallel(build: fn() -> QosSwitch, threads: usize) -> Observation {
-    let mut switch = build();
-    switch.tracer_mut().attach_ring(1 << 16);
-    ParRunner::new(
-        Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE)),
-        threads,
-    )
-    .run(&mut switch);
-    observe(&switch)
-}
-
-fn run_bitpar(build: fn() -> QosSwitch) -> Observation {
-    let mut switch = build();
-    switch.tracer_mut().attach_ring(1 << 16);
-    BitparRunner::new(Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE))).run(&mut switch);
+    let schedule = Schedule::new(Cycles::new(WARMUP), Cycles::new(MEASURE));
+    if skip_idle {
+        BitparRunner::new(schedule).run(&mut switch);
+    } else {
+        Runner::new(schedule).run(&mut switch);
+    }
     observe(&switch)
 }
 
 /// Compares two observations; `None` when identical, else what differed.
-fn diff(seq: &Observation, par: &Observation) -> Option<String> {
-    if seq.counters != par.counters {
+fn diff(dense: &Observation, skipping: &Observation) -> Option<String> {
+    if dense.counters != skipping.counters {
         return Some(format!(
             "counters differ: {:?} vs {:?}",
-            seq.counters, par.counters
+            dense.counters, skipping.counters
         ));
     }
-    if seq.metrics_csv != par.metrics_csv {
+    if dense.metrics_csv != skipping.metrics_csv {
         return Some("GB metrics CSV differs".to_string());
     }
-    if seq.events != par.events {
-        let first = seq
+    if dense.events != skipping.events {
+        let first = dense
             .events
             .iter()
-            .zip(par.events.iter())
+            .zip(skipping.events.iter())
             .position(|(a, b)| a != b);
         return Some(format!(
             "event traces differ ({} vs {} events, first divergence at {:?})",
-            seq.events.len(),
-            par.events.len(),
+            dense.events.len(),
+            skipping.events.len(),
             first
         ));
     }
@@ -294,33 +281,25 @@ fn diff(seq: &Observation, par: &Observation) -> Option<String> {
 pub struct DiffReport {
     /// One human-readable line per scenario, in battery order.
     pub lines: Vec<String>,
-    /// One entry per `(scenario, thread count)` that diverged.
+    /// One entry per scenario that diverged.
     pub failures: Vec<String>,
 }
 
-/// Runs every scenario through all three engines (the sharded one at
-/// each of [`THREADS`]).
+/// Runs every scenario on both runners.
 #[must_use]
 pub fn run_battery() -> DiffReport {
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for (name, build) in scenarios() {
-        let seq = run_sequential(build);
-        for &threads in THREADS {
-            let par = run_parallel(build, threads);
-            if let Some(what) = diff(&seq, &par) {
-                failures.push(format!("{name} @ {threads} threads: {what}"));
-            }
-        }
-        let bit = run_bitpar(build);
-        if let Some(what) = diff(&seq, &bit) {
-            failures.push(format!("{name} @ bitpar: {what}"));
+        let dense = run(build, false);
+        if let Some(what) = diff(&dense, &run(build, true)) {
+            failures.push(format!("{name}: {what}"));
         }
         lines.push(format!(
-            "verify[diff] {:<28} {:>7} events {:>8} flits  seq == par @ {THREADS:?} threads == bitpar",
+            "verify[diff] {:<28} {:>7} events {:>8} flits  dense == idle-skip",
             name,
-            seq.events.len(),
-            seq.counters.delivered_flits,
+            dense.events.len(),
+            dense.counters.delivered_flits,
         ));
     }
     DiffReport { lines, failures }

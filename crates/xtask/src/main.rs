@@ -12,9 +12,10 @@
 //! ```
 //!
 //! The lint pass is the [`ssq_lint`] engine: an in-tree lexer and
-//! item/call-graph parser (no external dependencies) running the nine
-//! legacy rules token-aware plus four semantic lints (`shard-purity`,
-//! `panic-freedom-reachability`, `no-nondeterministic-order`,
+//! item/call-graph parser (no external dependencies) running the eight
+//! legacy rules token-aware plus the semantic lints
+//! (`panic-freedom-reachability`, `mask-width-safety`,
+//! `unchecked-hot-arith`, `no-nondeterministic-order`,
 //! `feature-gate-hygiene`). Findings print as
 //! `file:line · RULE · message`; a finding can be waived in place with
 //! `// ssq-lint: allow(<rule>)` on (or immediately above) the line, and
@@ -28,9 +29,9 @@
 //! trace is printed as ssq-trace JSONL).
 //!
 //! The bench task maintains the perf-trajectory record (ROADMAP
-//! item 5): a small engine × radix × load matrix timed wall-clock, with
-//! the in-switch profiler's prepare/decide/commit breakdown (xtask
-//! compiles the model crates with the `prof` feature), written as
+//! item 5): a small runner × radix × load matrix timed wall-clock, with
+//! the in-switch profiler's prepare/arbitrate breakdown (xtask compiles
+//! the switch core with the `prof` feature), written as
 //! schema-versioned `results/BENCH_<pr>.json` documents and diffed
 //! against the prior document with a configurable regression threshold
 //! (`--diff`, nonzero exit on regression).
@@ -61,7 +62,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage: cargo run -p xtask -- <lint [--json] [--update-baseline] \
      | verify [--deep] \
-     | bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--shards]>";
+     | bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--outputs]>";
 
 /// Runs the model-checker tiers: the fast battery always, the deep
 /// battery with `--deep`. Prints one line per scenario and the first
@@ -121,9 +122,9 @@ fn verify(args: &[String]) -> ExitCode {
         );
     }
 
-    // The engine-conformance battery rides the fast tier: every scenario
-    // runs under both the sequential and the sharded parallel engine,
-    // and any observable difference fails verify.
+    // The runner-conformance battery rides the fast tier: every scenario
+    // runs on both the dense and the idle-skipping runner, and any
+    // observable difference fails verify.
     let started = std::time::Instant::now();
     let report = diffcheck::run_battery();
     for line in &report.lines {
@@ -131,12 +132,12 @@ fn verify(args: &[String]) -> ExitCode {
     }
     if !report.failures.is_empty() {
         for failure in &report.failures {
-            eprintln!("verify[diff] ENGINE DIVERGENCE: {failure}");
+            eprintln!("verify[diff] RUNNER DIVERGENCE: {failure}");
         }
         return ExitCode::FAILURE;
     }
     println!(
-        "verify[diff] clean: {} scenarios, sequential == parallel in {:.2}s",
+        "verify[diff] clean: {} scenarios, dense == idle-skip in {:.2}s",
         report.lines.len(),
         started.elapsed().as_secs_f64(),
     );

@@ -38,10 +38,11 @@ else
   echo "baseline shrink gate skipped (no git history available)"
 fi
 
-echo "== model check + engine conformance, fast tier (xtask) =="
-# The fast tier ends with the three-way engine differential battery:
-# every scenario must be bit-identical on the sequential, sharded
-# parallel, and word-wide bitpar engines.
+echo "== model check + runner conformance, fast tier (xtask) =="
+# The fast tier ends with the runner differential battery: every
+# scenario must be bit-identical on the dense Runner and the
+# idle-skipping BitparRunner. The stepping kernel itself is pinned by
+# the digests in tests/golden/, checked by the test suite below.
 cargo run --quiet -p xtask -- verify
 
 echo "== release build =="
@@ -49,9 +50,9 @@ cargo build --workspace --release
 
 echo "== fault smoke tier (ssq faults) =="
 # Every single-fault chaos scenario must either preserve its bounds or
-# revoke loudly; a silent violation fails the gate. Each scenario runs
-# on all three engines (sequential, sharded parallel, bitpar) — any
-# divergence between them is reported as a silent violation.
+# revoke loudly; a silent violation fails the gate. Each scenario also
+# runs without the watchdog on the dense and the idle-skipping runner —
+# any divergence between them is reported as a silent violation.
 ./target/release/ssq faults --smoke --csv
 
 echo "== multi-hop fabric smoke tier (ssq net) =="
@@ -63,15 +64,17 @@ echo "== multi-hop fabric smoke tier (ssq net) =="
 ./target/release/ssq net --smoke --csv
 
 echo "== tests =="
+# Includes tests/kernel_conformance.rs: the stepping kernel against the
+# digests recorded before the decide/commit split was fused.
 cargo test -q --workspace
 
 echo "== perf regression gate (xtask bench --quick --diff) =="
-# A shortened release-profile probe of the bench matrix (including the
-# bitpar engine cells and the periodic idle-skip load), diffed against
+# A shortened release-profile probe of the bench matrix (the dense and
+# idle-skipping runners, including the periodic idle-skip load), diffed against
 # the newest recorded results/BENCH_<n>.json: any cell slower than
 # 0.3x its recorded rate fails the gate. Thresholds are deliberately
 # loose — this catches order-of-magnitude cliffs, not CI jitter (the
-# idle-skipping bitpar cell structurally measures ~0.4x its full-matrix
+# idle-skipping periodic cell structurally measures ~0.4x its full-matrix
 # rate at the quick schedule, since a 500-cycle run amortizes fixed
 # costs poorly when skipping makes the measured window tiny); the
 # full matrix is recorded once per PR with `bench --json --diff`.

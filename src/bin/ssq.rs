@@ -23,9 +23,7 @@ use swizzle_qos::core::gl::{burst_budgets, latency_bound, GlScenario};
 use swizzle_qos::core::vcd::SwitchVcdRecorder;
 use swizzle_qos::core::{Policy, Preflight, QosSwitch, SwitchConfig};
 use swizzle_qos::physical::{DelayModel, StorageModel, TABLE2_RADICES, TABLE2_WIDTHS};
-use swizzle_qos::sim::{
-    with_engine, BitparRunner, CycleModel, EventModel, MonitorOutcome, ParRunner, Runner, Schedule,
-};
+use swizzle_qos::sim::{BitparRunner, MonitorOutcome, Runner, Schedule};
 use swizzle_qos::stats::Table;
 use swizzle_qos::trace::{flight, Event, MetricsRegistry, RingSink, TraceSummary};
 use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Saturating, TraceEvent, TraceFile};
@@ -83,12 +81,6 @@ SIMULATE OPTIONS:
                           (default ssvc-subtract)
   --cycles N              measured cycles (default 50000)
   --warmup N              warm-up cycles (default 5000)
-  --engine NAME           execution engine: seq (default); par, the
-                          sharded parallel engine; or bitpar, the
-                          word-wide engine with idle skipping — both
-                          bit-identical to seq
-  --threads N             worker threads for --engine par (default: the
-                          machine's available parallelism)
   --reserve IN:OUT:PCT[:LEN]   GB reservation, PCT of the output's bandwidth
                                for IN's packets of LEN flits (LEN default 8)
   --gl-reserve OUT:PCT    GL class reservation at OUT
@@ -120,9 +112,9 @@ OBSERVABILITY OPTIONS (simulate):
   --stall-window N        cycles of pending-but-stuck work before the
                           watchdog trips (default 10000)
   --gl-bound N            arm the GL wait watchdog at N cycles (Eq. 1)
-  --prof                  time every measured cycle's phases and print the
-                          prepare/decide/commit (seq) or gather/decide/
-                          merge (par) breakdown; needs a build with
+  --prof                  time every stepped measured cycle's phases, print
+                          the prepare/arbitrate breakdown and the stepped
+                          vs idle-skipped cycle counts; needs a build with
                           `--features prof`, and is incompatible with the
                           monitored modes (--flight-recorder, --gl-bound)
 
@@ -403,29 +395,6 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
     let cycles = opts.num("cycles", 50_000)?;
     let warmup = opts.num("warmup", 5_000)?;
     let policy = parse_policy(opts.get("policy").unwrap_or("ssvc-subtract"))?;
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum EngineChoice {
-        Seq,
-        Par,
-        Bitpar,
-    }
-    let engine = match opts.get("engine").unwrap_or("seq") {
-        "seq" => EngineChoice::Seq,
-        "par" => EngineChoice::Par,
-        "bitpar" => EngineChoice::Bitpar,
-        other => {
-            return Err(err(format!(
-                "--engine: expected seq, par, or bitpar, got {other:?}"
-            )))
-        }
-    };
-    let parallel = engine == EngineChoice::Par;
-    let threads = match opts.num("threads", 0)? as usize {
-        0 => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        n => n,
-    };
 
     // Observability settings, preflighted for consistency (SSQ011).
     let tracing = opts.flag("trace");
@@ -443,13 +412,6 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         ),
     };
     let profiling = opts.flag("prof");
-    if profiling && engine == EngineChoice::Bitpar {
-        return Err(err(
-            "--prof instruments the dense per-port cycle loop; the bitpar \
-             engine's word-wide fast path bypasses it — profile with \
-             --engine seq or par",
-        ));
-    }
     if profiling && (flight || gl_bound.is_some()) {
         return Err(err(
             "--prof times the plain measurement loop; drop --flight-recorder/--gl-bound \
@@ -565,46 +527,34 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
         None => None,
     };
+    if profiling {
+        // `begin_measurement` clears the accumulators, so warm-up never
+        // lands in the phase breakdown.
+        switch.prof_arm(1);
+    }
+    let schedule = Schedule::new(Cycles::new(warmup), Cycles::new(cycles));
+    let warm_end = Cycle::new(warmup);
+    let mut vcd_error: Option<std::io::Error> = None;
     let now;
-    // The parallel engine's stage profile must be read out before the
-    // engine (and its workers) wind down at the end of `with_engine`.
-    let mut par_prof: Option<swizzle_qos::prof::ProfReport> = None;
     if flight || gl_bound.is_some() {
         // Monitored run: the watchdog trips on a stall, a violated GL
         // bound, or (via the unwind hook below) a debug assertion, and
         // the flight recorder dumps its history to results/.
-        let mut vcd_error: Option<std::io::Error> = None;
-        let schedule = Schedule::new(Cycles::new(warmup), Cycles::new(cycles));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let observe = |sw: &QosSwitch, at: Cycle| {
-                if let Some(rec) = &mut vcd {
-                    if let Err(e) = rec.sample(sw, at) {
-                        vcd_error.get_or_insert(e);
+            Runner::new(schedule).run_monitored(
+                &mut switch,
+                Cycles::new(stall_window.max(1)),
+                |sw: &QosSwitch, at: Cycle| {
+                    if let Some(rec) = &mut vcd {
+                        if let Err(e) = rec.sample(sw, at) {
+                            vcd_error.get_or_insert(e);
+                        }
                     }
-                }
-                if let Some(p) = &mut probe {
-                    p.observe(sw, at);
-                }
-            };
-            match engine {
-                EngineChoice::Par => ParRunner::new(schedule, threads).run_monitored(
-                    &mut switch,
-                    Cycles::new(stall_window.max(1)),
-                    observe,
-                ),
-                // Monitored bitpar runs are dense (the watchdog is
-                // defined per executed cycle) but keep the fast path.
-                EngineChoice::Bitpar => BitparRunner::new(schedule).run_monitored(
-                    &mut switch,
-                    Cycles::new(stall_window.max(1)),
-                    observe,
-                ),
-                EngineChoice::Seq => Runner::new(schedule).run_monitored(
-                    &mut switch,
-                    Cycles::new(stall_window.max(1)),
-                    observe,
-                ),
-            }
+                    if let Some(p) = &mut probe {
+                        p.observe(sw, at);
+                    }
+                },
+            )
         }));
         let dump = |switch: &mut QosSwitch,
                     probe: &Option<MetricsProbe>,
@@ -658,92 +608,27 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
                 )));
             }
         }
-    } else if parallel {
-        // The same manual loop, on the sharded engine: workers persist
-        // across cycles and park while the probes observe the model.
-        let mut vcd_error: Option<std::io::Error> = None;
-        let (end, _load) = with_engine(threads, &mut switch, |engine| {
-            let mut at = Cycle::ZERO;
-            for _ in 0..warmup {
-                engine.step(at);
-                at = at.next();
+    } else if vcd.is_some() || probe.is_some() {
+        // Probes sample every measured cycle, so idle skipping would
+        // change what they record: step densely.
+        now = Runner::new(schedule).run_observed(&mut switch, |sw, at| {
+            if at < warm_end {
+                return;
             }
-            engine.with_model(|m| m.begin_measurement(at));
-            if profiling {
-                // Arm at the measurement boundary so warm-up never
-                // lands in the stage accumulators.
-                engine.prof_arm(1);
+            if let Some(rec) = &mut vcd {
+                if let Err(e) = rec.sample(sw, at) {
+                    vcd_error.get_or_insert(e);
+                }
             }
-            for _ in 0..cycles {
-                engine.step(at);
-                engine.with_model(|m| {
-                    if let Some(rec) = &mut vcd {
-                        if let Err(e) = rec.sample(m, at) {
-                            vcd_error.get_or_insert(e);
-                        }
-                    }
-                    if let Some(p) = &mut probe {
-                        p.observe(m, at);
-                    }
-                });
-                at = at.next();
+            if let Some(p) = &mut probe {
+                p.observe(sw, at);
             }
-            par_prof = engine.prof_report();
-            at
         });
         if let Some(e) = vcd_error {
             return Err(err(format!("writing vcd: {e}")));
         }
-        now = end;
-    } else if engine == EngineChoice::Bitpar {
-        if vcd.is_some() || probe.is_some() {
-            // Probes sample per executed cycle, so idle skipping would
-            // change what they record; keep the word-wide fast path but
-            // step densely.
-            let mut at = Cycle::ZERO;
-            for _ in 0..warmup {
-                switch.step_fast(at);
-                at = at.next();
-            }
-            switch.begin_measurement(at);
-            for _ in 0..cycles {
-                switch.step_fast(at);
-                if let Some(rec) = &mut vcd {
-                    rec.sample(&switch, at)?;
-                }
-                if let Some(p) = &mut probe {
-                    p.observe(&switch, at);
-                }
-                at = at.next();
-            }
-            now = at;
-        } else {
-            let schedule = Schedule::new(Cycles::new(warmup), Cycles::new(cycles));
-            now = BitparRunner::new(schedule).run(&mut switch);
-        }
     } else {
-        let mut at = Cycle::ZERO;
-        for _ in 0..warmup {
-            switch.step(at);
-            at = at.next();
-        }
-        switch.begin_measurement(at);
-        if profiling {
-            // Arm at the measurement boundary so warm-up never lands in
-            // the phase accumulators.
-            switch.prof_arm(1);
-        }
-        for _ in 0..cycles {
-            switch.step(at);
-            if let Some(rec) = &mut vcd {
-                rec.sample(&switch, at)?;
-            }
-            if let Some(p) = &mut probe {
-                p.observe(&switch, at);
-            }
-            at = at.next();
-        }
-        now = at;
+        now = BitparRunner::new(schedule).run(&mut switch);
     }
     if let Some(rec) = &mut vcd {
         rec.flush()?;
@@ -839,18 +724,14 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     }
     if profiling && !opts.flag("csv") {
-        let report = if parallel {
-            par_prof
-        } else {
-            switch.prof_report()
-        };
-        match report {
+        match switch.prof_report() {
             Some(r) => {
-                if parallel {
-                    println!("\nengine stage profile (gather/decide/merge):");
-                } else {
-                    println!("\ncycle-phase profile (prepare/decide/commit):");
-                }
+                println!("\ncycle-phase profile (prepare/arbitrate):");
+                println!(
+                    "stepped {} of {cycles} measured cycles; {} skipped idle",
+                    r.cycles,
+                    cycles.saturating_sub(r.cycles)
+                );
                 print!("{}", r.render_text());
             }
             None => println!(
@@ -906,7 +787,7 @@ fn trace_report(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// `ssq perf-report [--results DIR] [--csv]`: parse every recorded
 /// `BENCH_<n>.json` under the results directory and render the cross-PR
-/// perf trajectory (throughput, decide fraction) as one table.
+/// perf trajectory (cycles/sec per runner) as one table.
 fn perf_report(args: &[String]) -> Result<(), Box<dyn Error>> {
     let opts = Opts::parse(args, &["csv"])?;
     let dir = opts.get("results").unwrap_or("results");
@@ -938,10 +819,6 @@ fn perf_report(args: &[String]) -> Result<(), Box<dyn Error>> {
         found.last().map_or(0, |(n, _)| *n),
     );
     print!("{}", table.to_text());
-    println!(
-        "\nphases are wall-clock per measured cycle; amdahl rows in the \
-         documents are labelled projections, not measurements"
-    );
     Ok(())
 }
 
@@ -1435,7 +1312,8 @@ mod tests {
     fn profiled_simulate_runs_on_both_engines() {
         // Feature-off builds print the rebuild hint; feature-on builds
         // print the phase table. Either way the run must succeed, on
-        // the sequential and the sharded engine alike.
+        // the idle-skipping runner and (under a metrics probe, which
+        // samples every cycle) the dense one alike.
         let base = [
             "--radix",
             "4",
@@ -1448,9 +1326,17 @@ mod tests {
             "--prof",
         ];
         simulate(&strs(&base)).unwrap();
-        let mut par = strs(&base);
-        par.extend(strs(&["--engine", "par", "--threads", "2"]));
-        simulate(&par).unwrap();
+        let dir = std::env::temp_dir().join(format!("ssq-cli-prof-{}", std::process::id()));
+        let metrics = dir.join("metrics.csv");
+        let mut dense = strs(&base);
+        dense.extend(strs(&[
+            "--metrics-interval",
+            "100",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]));
+        simulate(&dense).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         // The monitored runner owns its own schedule, so --prof with a
         // watchdog mode is refused rather than silently mismeasured.
         let mut monitored = strs(&base);
@@ -1465,26 +1351,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ssq-cli-perf-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let doc = BenchDoc {
-            schema: 2,
+            schema: swizzle_qos::prof::trajectory::CURRENT_SCHEMA,
             pr: 3,
             profile: "release".to_owned(),
             quick: false,
             host_cores: 8,
-            par_threads: 2,
             warmup_cycles: 100,
             measure_cycles: 400,
             cells: vec![BenchCell {
                 radix: 16,
                 load: "saturated".to_owned(),
-                decide_fraction: 0.55,
                 phases: vec![],
                 engines: vec![BenchEngine {
-                    engine: "sequential".to_owned(),
-                    threads: 1,
+                    engine: "dense".to_owned(),
                     cycles_per_sec: 125_000.0,
                     delivered_flits: 42,
                 }],
-                amdahl: vec![],
             }],
         };
         std::fs::write(dir.join("BENCH_3.json"), doc.render()).unwrap();

@@ -1,9 +1,11 @@
-//! Bitpar-engine conformance beyond the shared three-way battery:
+//! Idle-skipping runner conformance beyond the seeded golden battery of
+//! `tests/kernel_conformance.rs`:
 //!
 //! * A seeded property test fuzzing random request patterns over radices
 //!   2–64 — random class mixes, buffer shapes, per-port feature toggles,
-//!   and **mid-run reservation renegotiation** — stepping the sequential
-//!   and word-wide paths in lockstep and demanding identical grants.
+//!   and **mid-run reservation renegotiation** — stepping two copies in
+//!   lockstep through `step` and `step_fast` and demanding identical
+//!   grants.
 //! * Idle-skip conformance: event-driven stepping must produce
 //!   byte-identical observables to dense stepping — decay-epoch events
 //!   and flight-recorder cycle stamps included — while provably skipping
@@ -178,9 +180,10 @@ fn build_fuzz(seed: u64) -> (QosSwitch, usize) {
     (switch, radix)
 }
 
-/// The property: for any seeded scenario, stepping the word-wide fast
-/// path produces the same observables as the sequential loop — through
-/// a mid-run reservation renegotiation applied identically to both.
+/// The property: for any seeded scenario, two copies stepped in
+/// lockstep through `step` and `step_fast` produce the same observables
+/// — through a mid-run reservation renegotiation applied identically to
+/// both.
 #[test]
 fn fuzzed_patterns_with_reservation_churn_match_seq() {
     const TRIALS: u64 = 40;
