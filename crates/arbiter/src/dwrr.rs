@@ -1,8 +1,8 @@
 //! Deficit weighted round-robin arbitration.
 
-use ssq_types::Cycle;
+use ssq_types::{Cycle, PortSet};
 
-use crate::{Arbiter, Request};
+use crate::Arbiter;
 
 /// Deficit weighted round robin (Shreedhar & Varghese, SIGCOMM'95 —
 /// paper ref \[17]).
@@ -19,14 +19,14 @@ use crate::{Arbiter, Request};
 /// # Examples
 ///
 /// ```
-/// use ssq_arbiter::{Arbiter, Dwrr, Request};
-/// use ssq_types::Cycle;
+/// use ssq_arbiter::{Arbiter, Dwrr};
+/// use ssq_types::{Cycle, PortSet};
 ///
 /// // Input 0 reserves twice the bandwidth of input 1; both send 4-flit
 /// // packets, so over one round input 0 sends 2 packets per 1 of input 1.
 /// let mut dwrr = Dwrr::new(&[8, 4]);
-/// let both = [Request::new(0, 4), Request::new(1, 4)];
-/// let wins: Vec<_> = (0..6).map(|_| dwrr.arbitrate(Cycle::ZERO, &both).unwrap()).collect();
+/// let both = PortSet::first_n(2);
+/// let wins: Vec<_> = (0..6).map(|_| dwrr.arbitrate(Cycle::ZERO, both, &|_| 4).unwrap()).collect();
 /// assert_eq!(wins.iter().filter(|&&w| w == 0).count(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,22 +69,29 @@ impl Arbiter for Dwrr {
         self.quanta.len()
     }
 
-    fn arbitrate(&mut self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        if requests.is_empty() {
+    //
+    // Requester bits are asserted < n before they index the per-input
+    // Vecs; the cursor stays below n by the `% n` (n > 0 asserted in
+    // `new`); deficits grow by one quantum per lap for at most
+    // `max_turns` laps, far inside u64; the `unreachable!` is the DRR
+    // progress argument spelled out above it.
+    // ssq-lint: allow(panic-freedom-reachability)
+    fn arbitrate(
+        &mut self,
+        _now: Cycle,
+        requesters: PortSet,
+        len_of: &dyn Fn(usize) -> u64,
+    ) -> Option<usize> {
+        if requesters.is_empty() {
             return None;
         }
         let n = self.quanta.len();
-        let mut head_len = vec![None; n];
-        for r in requests {
-            assert!(r.input() < n, "input {} out of range", r.input());
-            head_len[r.input()] = Some(r.len_flits());
-        }
         // In a router, a flow whose queue drains loses its deficit. Here a
         // non-requesting input's deficit is cleared, preventing idle flows
         // from banking service.
-        for (i, len) in head_len.iter().enumerate() {
-            if len.is_none() {
-                self.deficit[i] = 0;
+        for (i, deficit) in self.deficit.iter_mut().enumerate() {
+            if !requesters.contains(i) {
+                *deficit = 0;
             }
         }
         // Classic DRR service loop, one packet per call. Each flow's turn
@@ -94,16 +101,21 @@ impl Arbiter for Dwrr {
         // covers the worst case where every quantum is much smaller than
         // the packets: ceil(max_len / min_quantum) extra laps suffice for
         // some requester's deficit to cover its packet.
-        let max_len = head_len.iter().flatten().copied().max().unwrap_or(1);
+        let mut max_len = 1;
+        for i in requesters {
+            assert!(i < n, "input {i} out of range");
+            max_len = max_len.max(len_of(i));
+        }
         let min_quantum = self.quanta.iter().copied().min().unwrap_or(1);
         let max_turns = (n as u64) * (max_len / min_quantum + 2);
         for _ in 0..max_turns {
             let c = self.cursor;
-            let Some(len) = head_len[c] else {
+            if !requesters.contains(c) {
                 self.turn_active = false;
                 self.cursor = (c + 1) % n;
                 continue;
-            };
+            }
+            let len = len_of(c);
             if !self.turn_active {
                 self.deficit[c] += self.quanta[c];
                 self.turn_active = true;
@@ -128,11 +140,12 @@ mod tests {
         // Input 0 sends 8-flit packets, input 1 sends 2-flit packets, with
         // equal quanta. Flit counts, not packet counts, should equalize.
         let mut dwrr = Dwrr::new(&[8, 8]);
-        let both = [Request::new(0, 8), Request::new(1, 2)];
+        let both = PortSet::first_n(2);
+        let lens = |i: usize| [8, 2][i];
         let mut flits = [0u64; 2];
         for _ in 0..100 {
-            let w = dwrr.arbitrate(Cycle::ZERO, &both).unwrap();
-            flits[w] += both[w].len_flits();
+            let w = dwrr.arbitrate(Cycle::ZERO, both, &lens).unwrap();
+            flits[w] += lens(w);
         }
         let ratio = flits[0] as f64 / flits[1] as f64;
         assert!((0.8..=1.25).contains(&ratio), "flit ratio {ratio}");
@@ -141,10 +154,11 @@ mod tests {
     #[test]
     fn quantum_proportions_hold() {
         let mut dwrr = Dwrr::new(&[12, 4]);
-        let both = [Request::new(0, 4), Request::new(1, 4)];
+        let both = PortSet::first_n(2);
+        let lens = |_| 4;
         let mut wins = [0u32; 2];
         for _ in 0..64 {
-            wins[dwrr.arbitrate(Cycle::ZERO, &both).unwrap()] += 1;
+            wins[dwrr.arbitrate(Cycle::ZERO, both, &lens).unwrap()] += 1;
         }
         let ratio = wins[0] as f64 / wins[1] as f64;
         assert!((2.5..=3.5).contains(&ratio), "win ratio {ratio}");
@@ -153,7 +167,7 @@ mod tests {
     #[test]
     fn idle_inputs_lose_their_deficit() {
         let mut dwrr = Dwrr::new(&[4, 4]);
-        let _ = dwrr.arbitrate(Cycle::ZERO, &[Request::new(0, 2)]);
+        let _ = dwrr.arbitrate(Cycle::ZERO, PortSet::single(0), &|_| 2);
         // Input 1 never requested; its deficit must be zero.
         assert_eq!(dwrr.deficit(1), 0);
     }
@@ -163,7 +177,7 @@ mod tests {
         let mut dwrr = Dwrr::new(&[1, 1]);
         for _ in 0..10 {
             assert_eq!(
-                dwrr.arbitrate(Cycle::ZERO, &[Request::new(1, 8)]),
+                dwrr.arbitrate(Cycle::ZERO, PortSet::single(1), &|_| 8),
                 Some(1),
                 "single requester must always win"
             );

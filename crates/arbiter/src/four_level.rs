@@ -1,9 +1,9 @@
 //! The prior 4-level message-based QoS arbitration (Satpathy et al.,
 //! DAC'12 — paper ref [14]).
 
-use ssq_types::Cycle;
+use ssq_types::{Cycle, PortSet};
 
-use crate::{Arbiter, Lrg, Request};
+use crate::{Arbiter, Lrg};
 
 /// Number of message priority levels in the prior design.
 pub const NUM_LEVELS: usize = 4;
@@ -27,16 +27,14 @@ pub const NUM_LEVELS: usize = 4;
 /// # Examples
 ///
 /// ```
-/// use ssq_arbiter::{Arbiter, FourLevel, Request};
-/// use ssq_types::Cycle;
+/// use ssq_arbiter::FourLevel;
+/// use ssq_types::PortSet;
 ///
 /// let mut fl = FourLevel::new(4);
-/// let reqs = [
-///     Request::new(0, 1).with_level(1),
-///     Request::new(2, 1).with_level(3),
-/// ];
+/// // Input 0 requests at level 1, input 2 at level 3.
+/// let levels = [PortSet::EMPTY, PortSet::single(0), PortSet::EMPTY, PortSet::single(2)];
 /// // Level 3 beats level 1 regardless of history.
-/// assert_eq!(fl.arbitrate(Cycle::ZERO, &reqs), Some(2));
+/// assert_eq!(fl.arbitrate_levels(levels), Some((2, 3)));
 /// assert_eq!(fl.arbitration_cycles(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +58,23 @@ impl FourLevel {
         }
     }
 
+    /// Arbitrates one word per priority level (`levels[l]` holds the
+    /// inputs whose message sits at level `l`; an input appears in at
+    /// most one word): the highest non-empty level wins, LRG within
+    /// it. Returns the winner and its level, or `None` when every word
+    /// is empty.
+    pub fn arbitrate_levels(&mut self, levels: [PortSet; NUM_LEVELS]) -> Option<(usize, usize)> {
+        let (top, word) = levels
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|(_, w)| !w.is_empty())?;
+        let lrg = self.per_level.get_mut(top)?;
+        let winner = lrg.peek_mask(word.bits())?;
+        lrg.grant(winner);
+        Some((winner, top))
+    }
+
     /// Arbitration latency in cycles of the original two-phase design
     /// (level resolution, then LRG within the level).
     #[must_use]
@@ -73,27 +88,16 @@ impl Arbiter for FourLevel {
         self.per_level[0].num_inputs()
     }
 
-    fn arbitrate(&mut self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        let top = requests
-            .iter()
-            .map(|r| {
-                assert!(
-                    (r.level() as usize) < NUM_LEVELS,
-                    "level {} exceeds {NUM_LEVELS} levels",
-                    r.level()
-                );
-                r.level()
-            })
-            .max()?;
-        let candidates: Vec<usize> = requests
-            .iter()
-            .filter(|r| r.level() == top)
-            .map(|r| r.input())
-            .collect();
-        let lrg = &mut self.per_level[top as usize];
-        let winner = lrg.peek(&candidates)?;
-        lrg.grant(winner);
-        Some(winner)
+    /// Every requester at the lowest level: plain LRG.
+    fn arbitrate(
+        &mut self,
+        _now: Cycle,
+        requesters: PortSet,
+        _len_of: &dyn Fn(usize) -> u64,
+    ) -> Option<usize> {
+        let mut levels = [PortSet::EMPTY; NUM_LEVELS];
+        levels[0] = requesters;
+        self.arbitrate_levels(levels).map(|(winner, _)| winner)
     }
 }
 
@@ -101,16 +105,21 @@ impl Arbiter for FourLevel {
 mod tests {
     use super::*;
 
+    /// Levels from `(input, level)` pairs.
+    fn levels(reqs: &[(usize, usize)]) -> [PortSet; NUM_LEVELS] {
+        let mut words = [PortSet::EMPTY; NUM_LEVELS];
+        for &(i, l) in reqs {
+            words[l].insert(i);
+        }
+        words
+    }
+
     #[test]
     fn highest_level_always_wins() {
         let mut fl = FourLevel::new(3);
-        let reqs = [
-            Request::new(0, 1).with_level(0),
-            Request::new(1, 1).with_level(2),
-            Request::new(2, 1).with_level(1),
-        ];
+        let reqs = levels(&[(0, 0), (1, 2), (2, 1)]);
         for _ in 0..5 {
-            assert_eq!(fl.arbitrate(Cycle::ZERO, &reqs), Some(1));
+            assert_eq!(fl.arbitrate_levels(reqs), Some((1, 2)));
         }
     }
 
@@ -119,21 +128,18 @@ mod tests {
         // The defect the paper calls out: persistent level-3 traffic
         // starves level 0 forever.
         let mut fl = FourLevel::new(2);
-        let reqs = [
-            Request::new(0, 1).with_level(3),
-            Request::new(1, 1).with_level(0),
-        ];
+        let reqs = levels(&[(0, 3), (1, 0)]);
         for _ in 0..100 {
-            assert_eq!(fl.arbitrate(Cycle::ZERO, &reqs), Some(0));
+            assert_eq!(fl.arbitrate_levels(reqs), Some((0, 3)));
         }
     }
 
     #[test]
     fn lrg_within_a_level() {
         let mut fl = FourLevel::new(3);
-        let reqs: Vec<Request> = (0..3).map(|i| Request::new(i, 1).with_level(2)).collect();
+        let reqs = levels(&[(0, 2), (1, 2), (2, 2)]);
         let wins: Vec<_> = (0..6)
-            .map(|_| fl.arbitrate(Cycle::ZERO, &reqs).unwrap())
+            .map(|_| fl.arbitrate_levels(reqs).unwrap().0)
             .collect();
         assert_eq!(wins, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -142,19 +148,18 @@ mod tests {
     fn levels_have_independent_lrg_state() {
         let mut fl = FourLevel::new(2);
         // Input 0 wins at level 3; that must not demote it at level 0.
-        let _ = fl.arbitrate(Cycle::ZERO, &[Request::new(0, 1).with_level(3)]);
-        let both_l0 = [
-            Request::new(0, 1).with_level(0),
-            Request::new(1, 1).with_level(0),
-        ];
-        assert_eq!(fl.arbitrate(Cycle::ZERO, &both_l0), Some(0));
+        let _ = fl.arbitrate_levels(levels(&[(0, 3)]));
+        assert_eq!(fl.arbitrate_levels(levels(&[(0, 0), (1, 0)])), Some((0, 0)));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn rejects_level_out_of_range() {
-        let mut fl = FourLevel::new(2);
-        let _ = fl.arbitrate(Cycle::ZERO, &[Request::new(0, 1).with_level(4)]);
+    fn trait_arbitration_is_level_zero_lrg() {
+        let mut fl = FourLevel::new(3);
+        let _ = fl.arbitrate_levels(levels(&[(0, 0)]));
+        let all = PortSet::first_n(3);
+        assert_eq!(fl.arbitrate(Cycle::ZERO, all, &|_| 1), Some(1));
+        assert_eq!(fl.arbitrate_levels(levels(&[(0, 0), (1, 0)])), Some((0, 0)));
+        assert_eq!(fl.arbitrate_levels([PortSet::EMPTY; NUM_LEVELS]), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Self-clocked weighted fair queueing.
 
-use ssq_types::Cycle;
+use ssq_types::{Cycle, PortSet};
 
-use crate::{Arbiter, Request};
+use crate::Arbiter;
 
 /// Weighted fair queueing in its self-clocked (SCFQ) form.
 ///
@@ -20,12 +20,12 @@ use crate::{Arbiter, Request};
 /// # Examples
 ///
 /// ```
-/// use ssq_arbiter::{Arbiter, Request, Wfq};
-/// use ssq_types::Cycle;
+/// use ssq_arbiter::{Arbiter, Wfq};
+/// use ssq_types::{Cycle, PortSet};
 ///
 /// let mut wfq = Wfq::new(&[3.0, 1.0]);
-/// let both = [Request::new(0, 1), Request::new(1, 1)];
-/// let wins: Vec<_> = (0..8).map(|_| wfq.arbitrate(Cycle::ZERO, &both).unwrap()).collect();
+/// let both = PortSet::first_n(2);
+/// let wins: Vec<_> = (0..8).map(|_| wfq.arbitrate(Cycle::ZERO, both, &|_| 1).unwrap()).collect();
 /// assert_eq!(wins.iter().filter(|&&w| w == 0).count(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -73,31 +73,38 @@ impl Arbiter for Wfq {
         self.weights.len()
     }
 
-    fn arbitrate(&mut self, _now: Cycle, requests: &[Request]) -> Option<usize> {
-        if requests.is_empty() {
-            return None;
-        }
+    //
+    // Requester bits are asserted < n before they index the per-input
+    // Vecs (the documented harness-bug panic); the winner is one of
+    // them; the tag arithmetic is f64 and cannot trap.
+    // ssq-lint: allow(panic-freedom-reachability)
+    fn arbitrate(
+        &mut self,
+        _now: Cycle,
+        requesters: PortSet,
+        len_of: &dyn Fn(usize) -> u64,
+    ) -> Option<usize> {
         // Stamp any head packet that does not yet have a tag (or whose
-        // length changed, meaning a new packet reached the head).
-        for r in requests {
-            let i = r.input();
+        // length changed, meaning a new packet reached the head), and
+        // serve the smallest tag, lowest input on ties.
+        let mut best: Option<(usize, f64)> = None;
+        for i in requesters {
             assert!(i < self.weights.len(), "input {i} out of range");
-            let needs_stamp = match self.head_tag[i] {
-                Some((len, _)) => len != r.len_flits(),
-                None => true,
+            let len = len_of(i);
+            let tag = match self.head_tag[i] {
+                Some((tagged_len, tag)) if tagged_len == len => tag,
+                _ => {
+                    let start = self.virtual_time.max(self.last_finish[i]);
+                    let tag = start + len as f64 / self.weights[i];
+                    self.head_tag[i] = Some((len, tag));
+                    tag
+                }
             };
-            if needs_stamp {
-                let start = self.virtual_time.max(self.last_finish[i]);
-                let tag = start + r.len_flits() as f64 / self.weights[i];
-                self.head_tag[i] = Some((r.len_flits(), tag));
+            if best.map_or(true, |(_, b)| tag.total_cmp(&b).is_lt()) {
+                best = Some((i, tag));
             }
         }
-        let winner = requests
-            .iter()
-            .map(|r| r.input())
-            .filter_map(|i| self.head_tag[i].map(|(_, tag)| (i, tag)))
-            .min_by(|&(a, ta), &(b, tb)| ta.total_cmp(&tb).then(a.cmp(&b)))
-            .map(|(i, _)| i)?;
+        let (winner, _) = best?;
         let (_, tag) = self.head_tag[winner].take()?;
         self.last_finish[winner] = tag;
         self.virtual_time = tag;
@@ -112,9 +119,10 @@ mod tests {
     #[test]
     fn equal_weights_alternate() {
         let mut wfq = Wfq::new(&[1.0, 1.0]);
-        let both = [Request::new(0, 4), Request::new(1, 4)];
+        let both = PortSet::first_n(2);
+        let lens = |_| 4;
         let wins: Vec<_> = (0..6)
-            .map(|_| wfq.arbitrate(Cycle::ZERO, &both).unwrap())
+            .map(|_| wfq.arbitrate(Cycle::ZERO, both, &lens).unwrap())
             .collect();
         assert_eq!(wins, vec![0, 1, 0, 1, 0, 1]);
     }
@@ -122,10 +130,11 @@ mod tests {
     #[test]
     fn weights_control_share() {
         let mut wfq = Wfq::new(&[4.0, 1.0]);
-        let both = [Request::new(0, 1), Request::new(1, 1)];
+        let both = PortSet::first_n(2);
+        let lens = |_| 1;
         let mut wins = [0u32; 2];
         for _ in 0..100 {
-            wins[wfq.arbitrate(Cycle::ZERO, &both).unwrap()] += 1;
+            wins[wfq.arbitrate(Cycle::ZERO, both, &lens).unwrap()] += 1;
         }
         assert_eq!(wins, [80, 20]);
     }
@@ -135,11 +144,12 @@ mod tests {
         // Equal weights, but input 0 sends packets 4x longer: it should
         // win 1 packet per 4 of input 1 (equal flit share).
         let mut wfq = Wfq::new(&[1.0, 1.0]);
-        let both = [Request::new(0, 8), Request::new(1, 2)];
+        let both = PortSet::first_n(2);
+        let lens = |i: usize| [8, 2][i];
         let mut flits = [0u64; 2];
         for _ in 0..100 {
-            let w = wfq.arbitrate(Cycle::ZERO, &both).unwrap();
-            flits[w] += both[w].len_flits();
+            let w = wfq.arbitrate(Cycle::ZERO, both, &lens).unwrap();
+            flits[w] += lens(w);
         }
         let ratio = flits[0] as f64 / flits[1] as f64;
         assert!((0.9..=1.12).contains(&ratio), "flit ratio {ratio}");
@@ -150,13 +160,14 @@ mod tests {
         let mut wfq = Wfq::new(&[1.0, 1.0]);
         // Input 0 is served alone for a while; virtual time advances.
         for _ in 0..50 {
-            let _ = wfq.arbitrate(Cycle::ZERO, &[Request::new(0, 1)]);
+            let _ = wfq.arbitrate(Cycle::ZERO, PortSet::single(0), &|_| 1);
         }
         // When input 1 wakes up it starts at current virtual time, so it
         // must not monopolize the channel to "catch up".
-        let both = [Request::new(0, 1), Request::new(1, 1)];
+        let both = PortSet::first_n(2);
+        let lens = |_| 1;
         let wins: Vec<_> = (0..8)
-            .map(|_| wfq.arbitrate(Cycle::ZERO, &both).unwrap())
+            .map(|_| wfq.arbitrate(Cycle::ZERO, both, &lens).unwrap())
             .collect();
         let ones = wins.iter().filter(|&&w| w == 1).count();
         assert!(ones <= 5, "woken flow monopolized: {wins:?}");
@@ -165,10 +176,11 @@ mod tests {
     #[test]
     fn virtual_time_is_monotonic() {
         let mut wfq = Wfq::new(&[1.0, 2.0]);
-        let both = [Request::new(0, 3), Request::new(1, 5)];
+        let both = PortSet::first_n(2);
+        let lens = |i: usize| [3, 5][i];
         let mut prev = wfq.virtual_time();
         for _ in 0..20 {
-            let _ = wfq.arbitrate(Cycle::ZERO, &both);
+            let _ = wfq.arbitrate(Cycle::ZERO, both, &lens);
             assert!(wfq.virtual_time() >= prev);
             prev = wfq.virtual_time();
         }

@@ -2,23 +2,26 @@
 //! the in-tree PRNG so they run without external crates.
 
 use ssq_arbiter::{
-    Arbiter, CounterPolicy, Dwrr, FixedPriority, FourLevel, Gsf, Lrg, Request, RoundRobin,
-    SsvcArbiter, SsvcConfig, VirtualClock, Wfq, Wrr,
+    Arbiter, CounterPolicy, Dwrr, FixedPriority, FourLevel, Gsf, Lrg, RoundRobin, SsvcArbiter,
+    SsvcConfig, VirtualClock, Wfq, Wrr,
 };
 use ssq_types::rng::Xoshiro256StarStar;
-use ssq_types::Cycle;
+use ssq_types::{Cycle, PortSet};
 
-/// A request pattern: non-empty subset of inputs with packet lengths.
-fn request_pattern(rng: &mut Xoshiro256StarStar, n: usize) -> Vec<Request> {
+/// A request pattern: a non-empty requester word plus one head-packet
+/// length per input.
+fn request_pattern(rng: &mut Xoshiro256StarStar, n: usize) -> (PortSet, Vec<u64>) {
     loop {
-        let mut reqs = Vec::new();
-        for i in 0..n {
+        let mut reqs = PortSet::EMPTY;
+        let mut lens = vec![1; n];
+        for (i, len) in lens.iter_mut().enumerate() {
             if rng.chance(0.5) {
-                reqs.push(Request::new(i, rng.range(1, 16)));
+                reqs.insert(i);
+                *len = rng.range(1, 16);
             }
         }
         if !reqs.is_empty() {
-            return reqs;
+            return (reqs, lens);
         }
     }
 }
@@ -56,15 +59,15 @@ fn winners_are_always_requesters() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(0xa5b01);
     for _ in 0..16 {
         let rounds = 1 + rng.index(49);
-        let patterns: Vec<Vec<Request>> =
+        let patterns: Vec<(PortSet, Vec<u64>)> =
             (0..rounds).map(|_| request_pattern(&mut rng, 8)).collect();
         for mut arb in all_arbiters(8) {
-            for (step, reqs) in patterns.iter().enumerate() {
+            for (step, (reqs, lens)) in patterns.iter().enumerate() {
                 arb.tick();
                 let w = arb
-                    .arbitrate(Cycle::new(step as u64), reqs)
+                    .arbitrate(Cycle::new(step as u64), *reqs, &|i| lens[i])
                     .expect("work conserving");
-                assert!(reqs.iter().any(|r| r.input() == w));
+                assert!(reqs.contains(w));
             }
         }
     }
@@ -98,10 +101,12 @@ fn lrg_stays_a_total_order() {
 fn lrg_waiting_time_is_bounded() {
     for n in 2usize..10 {
         let mut lrg = Lrg::new(n);
-        let all: Vec<Request> = (0..n).map(|i| Request::new(i, 1)).collect();
+        let all = PortSet::first_n(n);
         let mut last_win = vec![0usize; n];
         for step in 1..=(n * 10) {
-            let w = lrg.arbitrate(Cycle::ZERO, &all).expect("work conserving");
+            let w = lrg
+                .arbitrate(Cycle::ZERO, all, &|_| 1)
+                .expect("work conserving");
             assert!(step - last_win[w] <= n, "input {w} waited too long");
             last_win[w] = step;
         }
@@ -124,9 +129,9 @@ fn ssvc_counters_stay_bounded() {
         let mut ssvc = SsvcArbiter::new(cfg, &[3, 17, 200, 999, 5, 64, 1, 40]);
         let rounds = 1 + rng.index(199);
         for step in 0..rounds {
-            let reqs = request_pattern(&mut rng, 8);
+            let (reqs, lens) = request_pattern(&mut rng, 8);
             ssvc.tick();
-            let _ = ssvc.arbitrate(Cycle::new(step as u64), &reqs);
+            let _ = ssvc.arbitrate(Cycle::new(step as u64), reqs, &|i| lens[i]);
             for i in 0..8 {
                 assert!(ssvc.aux_vc(i) <= cfg.saturation_cap());
                 assert!(ssvc.msb_value(i) < cfg.num_lanes() as u64);
@@ -147,14 +152,14 @@ fn ssvc_never_grants_dominated_input() {
         for i in 0..8 {
             ssvc.set_aux_vc(i, rng.below(4096));
         }
-        let candidates: Vec<usize> = (0..8).filter(|_| rng.chance(0.5)).collect();
+        let candidates = PortSet::from_bits(rng.next_u64() & 0xff);
         if candidates.is_empty() {
             continue;
         }
-        let w = ssvc.peek(&candidates).expect("non-empty candidates");
+        let w = ssvc.peek(candidates).expect("non-empty candidates");
         let min_msb = candidates
             .iter()
-            .map(|&c| ssvc.msb_value(c))
+            .map(|c| ssvc.msb_value(c))
             .min()
             .expect("non-empty candidates");
         assert_eq!(ssvc.msb_value(w), min_msb);
@@ -189,12 +194,14 @@ fn wrr_shares_match_weights() {
         let n = 2 + rng.index(4);
         let weights: Vec<u64> = (0..n).map(|_| rng.range(1, 7)).collect();
         let mut wrr = Wrr::new(&weights);
-        let all: Vec<Request> = (0..n).map(|i| Request::new(i, 1)).collect();
+        let all = PortSet::first_n(n);
         let total_weight: u64 = weights.iter().sum();
         let rounds = 50;
         let mut wins = vec![0u64; n];
         for _ in 0..rounds * total_weight {
-            wins[wrr.arbitrate(Cycle::ZERO, &all).expect("work conserving")] += 1;
+            wins[wrr
+                .arbitrate(Cycle::ZERO, all, &|_| 1)
+                .expect("work conserving")] += 1;
         }
         for (i, &w) in weights.iter().enumerate() {
             assert_eq!(wins[i], rounds * w, "input {} of weights {:?}", i, &weights);
@@ -211,10 +218,12 @@ fn dwrr_shares_match_quanta() {
         let n = 2 + rng.index(3);
         let quanta: Vec<u64> = (0..n).map(|_| rng.range(4, 31)).collect();
         let mut dwrr = Dwrr::new(&quanta);
-        let all: Vec<Request> = (0..n).map(|i| Request::new(i, 4)).collect();
+        let all = PortSet::first_n(n);
         let mut flits = vec![0u64; n];
         for _ in 0..2000 {
-            let w = dwrr.arbitrate(Cycle::ZERO, &all).expect("work conserving");
+            let w = dwrr
+                .arbitrate(Cycle::ZERO, all, &|_| 4)
+                .expect("work conserving");
             flits[w] += 4;
         }
         let total_q: u64 = quanta.iter().sum();

@@ -8,20 +8,16 @@
 use std::hint::black_box;
 
 use ssq_arbiter::{
-    Arbiter, CounterPolicy, Dwrr, FourLevel, Lrg, Request, RoundRobin, SsvcArbiter, SsvcConfig,
+    Arbiter, CounterPolicy, Dwrr, FourLevel, Lrg, RoundRobin, SsvcArbiter, SsvcConfig,
     VirtualClock, Wfq, Wrr,
 };
 use ssq_bench::microbench::{bench, group};
-use ssq_types::Cycle;
-
-fn full_requests(n: usize) -> Vec<Request> {
-    (0..n).map(|i| Request::new(i, 8)).collect()
-}
+use ssq_types::{Cycle, PortSet};
 
 fn bench_policies() {
     group("arbitrate_radix64");
     let n = 64;
-    let reqs = full_requests(n);
+    let reqs = PortSet::first_n(n);
 
     let mut arbiters: Vec<(&str, Box<dyn Arbiter>)> = vec![
         ("lrg", Box::new(Lrg::new(n))),
@@ -44,7 +40,7 @@ fn bench_policies() {
         bench("arbitrate_radix64", name, || {
             now = now.next();
             arb.tick();
-            black_box(arb.arbitrate(now, black_box(&reqs)));
+            black_box(arb.arbitrate(now, black_box(reqs), &|_| 8));
         });
     }
 }
@@ -52,7 +48,7 @@ fn bench_policies() {
 fn bench_ssvc_radix_scaling() {
     group("ssvc_radix_scaling");
     for radix in [8usize, 16, 32, 64] {
-        let reqs = full_requests(radix);
+        let reqs = PortSet::first_n(radix);
         let mut ssvc = SsvcArbiter::new(
             SsvcConfig::new(12, 3, CounterPolicy::SubtractRealClock),
             &vec![9; radix],
@@ -61,7 +57,7 @@ fn bench_ssvc_radix_scaling() {
         bench("ssvc_radix_scaling", &radix.to_string(), || {
             now = now.next();
             ssvc.tick();
-            black_box(ssvc.arbitrate(now, black_box(&reqs)));
+            black_box(ssvc.arbitrate(now, black_box(reqs), &|_| 8));
         });
     }
 }

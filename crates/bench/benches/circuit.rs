@@ -6,6 +6,7 @@ use std::hint::black_box;
 use ssq_arbiter::{CounterPolicy, Lrg, SsvcArbiter, SsvcConfig};
 use ssq_bench::microbench::{bench, group};
 use ssq_circuit::{CircuitConfig, InhibitFabric, PortRequest};
+use ssq_types::PortSet;
 
 fn ports(radix: usize, lanes: usize) -> Vec<PortRequest> {
     (0..radix)
@@ -38,9 +39,9 @@ fn bench_behavioural_reference() {
         for i in 0..radix {
             ssvc.set_aux_vc(i, ((i * 7 % 8) as u64) << 9);
         }
-        let candidates: Vec<usize> = (0..radix).collect();
+        let candidates = PortSet::first_n(radix);
         bench("behavioural_peek", &radix.to_string(), || {
-            black_box(ssvc.peek(black_box(&candidates)));
+            black_box(ssvc.peek(black_box(candidates)));
         });
     }
 }

@@ -9,11 +9,11 @@
 //! fewer significant bits ⇒ more LRG-decided grants ⇒ more latency
 //! fairness, at a (small) cost in instantaneous rate precision.
 
-use ssq_arbiter::{Arbiter, CounterPolicy, Request, SsvcArbiter, SsvcConfig};
+use ssq_arbiter::{Arbiter, CounterPolicy, SsvcArbiter, SsvcConfig};
 use ssq_bench::{emit, FIG4_RATES};
 use ssq_sim::sweep;
 use ssq_stats::Table;
-use ssq_types::Cycle;
+use ssq_types::{Cycle, PortSet};
 
 const ROUNDS: u64 = 200_000;
 const SLOT: u64 = 9; // 8-flit packets + 1 arbitration cycle
@@ -34,7 +34,7 @@ fn divergence(lsb_bits: u32) -> (f64, f64) {
 
     let mut diverged = 0u64;
     let mut wins = [0u64; 8];
-    let all: Vec<Request> = (0..8).map(|i| Request::new(i, 8)).collect();
+    let all = PortSet::first_n(8);
     let mut now = Cycle::ZERO;
     for _ in 0..ROUNDS {
         for _ in 0..SLOT {
@@ -47,7 +47,7 @@ fn divergence(lsb_bits: u32) -> (f64, f64) {
         let tied: Vec<usize> = (0..8).filter(|&i| coarse.aux_vc(i) == min).collect();
         let exact_winner = coarse.lrg().peek(&tied).expect("non-empty");
 
-        let coarse_winner = coarse.arbitrate(now, &all).expect("work conserving");
+        let coarse_winner = coarse.arbitrate(now, all, &|_| 8).expect("work conserving");
         if coarse_winner != exact_winner {
             diverged += 1;
         }

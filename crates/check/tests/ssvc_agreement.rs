@@ -4,9 +4,9 @@
 //! (`halve_policy_triggers_on_saturation`,
 //! `subtract_epoch_boundary_is_exact`) pin down.
 
-use ssq_arbiter::{Arbiter, CounterPolicy, Request, SsvcArbiter, SsvcConfig};
+use ssq_arbiter::{Arbiter, CounterPolicy, SsvcArbiter, SsvcConfig};
 use ssq_check::overflow::predict;
-use ssq_types::{Cycle, Rate};
+use ssq_types::{Cycle, PortSet, Rate};
 
 fn rate(v: f64) -> Rate {
     Rate::new(v).expect("valid rate")
@@ -16,10 +16,9 @@ fn rate(v: f64) -> Rate {
 /// returning the number of wins it took.
 fn wins_until_saturation(config: SsvcConfig, vtick: u64) -> u64 {
     let mut arb = SsvcArbiter::new(config, &[vtick]);
-    let reqs = [Request::new(0, 8)];
     let mut wins = 0;
     while arb.aux_vc(0) < config.saturation_cap() {
-        let winner = arb.arbitrate(Cycle::ZERO, &reqs);
+        let winner = arb.arbitrate(Cycle::ZERO, PortSet::single(0), &|_| 8);
         assert_eq!(winner, Some(0));
         wins += 1;
         assert!(wins <= config.saturation_cap(), "never saturated");
@@ -54,7 +53,7 @@ fn cap_sized_vtick_halves_on_the_first_win() {
 
     let mut arb = SsvcArbiter::new(config, &[p.vtick, 10]);
     arb.set_aux_vc(1, 3000);
-    let _ = arb.arbitrate(Cycle::ZERO, &[Request::new(0, 8)]);
+    let _ = arb.arbitrate(Cycle::ZERO, PortSet::single(0), &|_| 8);
     // Saturation at the first win triggered the halving of everyone.
     assert_eq!(arb.aux_vc(0), 4095 >> 1);
     assert_eq!(arb.aux_vc(1), 1500);
@@ -91,7 +90,7 @@ fn lanes_per_win_matches_the_thermometer_movement() {
         }
         let mut arb = SsvcArbiter::new(config, &[p.vtick]);
         let before = arb.aux_vc(0) >> config.lsb_bits();
-        let _ = arb.arbitrate(Cycle::ZERO, &[Request::new(0, 8)]);
+        let _ = arb.arbitrate(Cycle::ZERO, PortSet::single(0), &|_| 8);
         let after = arb.aux_vc(0) >> config.lsb_bits();
         // One win moves the thermometer by floor(vtick / step) or one
         // more (carry from the low bits); the prediction is the ceiling.

@@ -163,8 +163,8 @@ impl fmt::Display for ThermometerRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_arbiter::{Arbiter, CounterPolicy, Request, SsvcArbiter, SsvcConfig};
-    use ssq_types::Cycle;
+    use ssq_arbiter::{Arbiter, CounterPolicy, SsvcArbiter, SsvcConfig};
+    use ssq_types::{Cycle, PortSet};
 
     #[test]
     fn unary_encoding_invariant() {
@@ -275,11 +275,10 @@ mod tests {
                 (0..8).map(|_| ThermometerRegister::new(8)).collect();
             for step in 0..5_000u64 {
                 ssvc.tick();
-                let reqs: Vec<Request> = (0..8)
-                    .filter(|i| (step + i) % 3 != 0)
-                    .map(|i| Request::new(i as usize, 8))
+                let reqs: PortSet = (0..8usize)
+                    .filter(|&i| (step + i as u64) % 3 != 0)
                     .collect();
-                let _ = ssvc.arbitrate(Cycle::new(step), &reqs);
+                let _ = ssvc.arbitrate(Cycle::new(step), reqs, &|_| 8);
                 // Reconcile: apply the incremental ops the hardware would.
                 for (i, reg) in regs.iter_mut().enumerate() {
                     let target = ssvc.msb_value(i);

@@ -146,7 +146,7 @@ fn ssvc_arbiter_equivalence_radix8() {
             };
         }
         let circuit = fabric.arbitrate(&ports, ssvc.lrg(), ssvc.lrg()).winner();
-        let behavioural = ssvc.peek(&candidates);
+        let behavioural = ssvc.peek(candidates.iter().copied().collect());
         assert_eq!(circuit, behavioural, "round {round}");
         if let Some(w) = behavioural {
             ssvc.commit_win(w);

@@ -1,35 +1,56 @@
 //! The stepping kernel's per-output pass: the single arbitration of
 //! each idle output per cycle.
 //!
-//! [`QosSwitch::cycle_output`] runs once per output, in output order,
-//! after `prepare_cycle`. A transmitting channel moves one flit; an idle
-//! one reads the transposed request words `xreq` (one word per class,
+//! [`QosSwitch::cycle_output`] runs after `prepare_cycle`, in output
+//! order, for the *active* outputs only — the set bits of
+//! `busy_out | requested | waiting` (transmitting, requested in any
+//! class, or part-way through a two-cycle arbitration). Every other
+//! output's pass would be a no-op, so a cycle costs what moves in it,
+//! not the radix. A transmitting channel moves one flit; an idle one
+//! reads the transposed request words `xreq` (one word per class,
 //! masked to the inputs that are neither blocked nor on a downed link),
 //! waits out the arbitration latency, and calls the selected round's
-//! arbiter exactly once — the paper's single-cycle inhibit. Fabric
-//! cross-checks, fault detectors and trace events all read the
-//! post-arbitration state, except the Inhibit events' MSB snapshot,
-//! taken before the arbiter charges the winner. The scalar reference
-//! gather lives in `switch.rs` and checks the request words on every
-//! debug step.
+//! arbiter exactly once with the requester word and a head-length
+//! lookup — the paper's single-cycle inhibit. Fabric cross-checks,
+//! fault detectors and trace events all read the post-arbitration
+//! state, except the Inhibit events' MSB snapshot, taken before the
+//! arbiter charges the winner. The scalar reference gather lives in
+//! `switch.rs` and checks the request words on every debug step.
 
-use ssq_arbiter::{Arbiter, Request};
+use ssq_arbiter::Arbiter;
 use ssq_trace::{Event, EventKind};
-use ssq_types::{Cycle, InputId, OutputId, TrafficClass};
+use ssq_types::{Cycle, InputId, OutputId, PortSet, TrafficClass};
 
 use super::{wire, GbEngine, QosSwitch};
-use crate::bitmask::PortSet;
 use crate::channel::ChannelState;
 use crate::config::Policy;
+use crate::port::InputPort;
 use crate::sanitize;
 
+/// The head-packet length of `input`'s `class` queue toward `output`:
+/// the length lookup the flit-accounting arbiters call.
+//
+// `i` is a requester bit < radix indexing the radix-sized port Vec; a
+// set request bit without a head is a desynced word, the invariant
+// breach the debug cross-check pins every step.
+// ssq-lint: allow(panic-freedom-reachability)
+fn head_len(ports: &[InputPort], class: TrafficClass, output: OutputId, i: usize) -> u64 {
+    // ssq-lint: allow(unchecked-hot-arith) — port Vec sized num_ports at construction; requester bits are port ids < radix by the sync invariant
+    ports[i]
+        .head(class, output)
+        // ssq-lint: allow(no-unwrap) — a set request bit with no matching head means the incremental word desynced from the queues: an invariant breach, not a recoverable condition
+        .expect("request word set without a matching queue head")
+        .spec()
+        .len_flits()
+}
+
 impl QosSwitch {
-    /// Phase 2 of a cycle, for one output, in output order: a
-    /// transmitting channel moves one flit; an idle one reads its
-    /// request words (masked to the inputs whose links are up, `live`,
-    /// and that are not yet `blocked`), waits out the arbitration
-    /// latency, and arbitrates once. A grant adds its input to
-    /// `blocked` for the outputs after this one.
+    /// Phase 2 of a cycle, for one active output: a transmitting
+    /// channel moves one flit; an idle one reads its request words
+    /// (masked to the inputs whose links are up, `live`, and that are
+    /// not yet `blocked`), waits out the arbitration latency, and
+    /// arbitrates once. A grant adds its input to `blocked` for the
+    /// outputs after this one.
     //
     // `o` is an output id < radix and every per-output Vec it indexes
     // (channels, xreq rows, arb_wait, gl_wait) is sized radix at
@@ -37,20 +58,14 @@ impl QosSwitch {
     // radix-sized port Vec; `arb_wait[o] + 1` stays below
     // `arbitration_cycles` (at most 2).
     // ssq-lint: allow(panic-freedom-reachability)
-    pub(super) fn cycle_output(
-        &mut self,
-        output: OutputId,
-        now: Cycle,
-        blocked: &mut PortSet,
-        live: PortSet,
-    ) {
+    pub(super) fn cycle_output(&mut self, output: OutputId, now: Cycle, blocked: &mut PortSet) {
         let o = output.index();
         // ssq-lint: allow(unchecked-hot-arith) — per-output channel Vec sized num_ports at construction; `o` is a port id < radix
         if matches!(self.channels[o].state(), ChannelState::Transmitting { .. }) {
             self.transmit_flit(output, now);
             return;
         }
-        let avail = !blocked.bits() & live.bits();
+        let avail = !blocked.bits() & self.live.bits();
         // ssq-lint: allow(unchecked-hot-arith) — per-output request-word Vecs sized num_ports at construction; `o` is a port id < radix
         let glm = self.xreq[TrafficClass::GuaranteedLatency.priority() as usize][o] & avail;
         // ssq-lint: allow(unchecked-hot-arith) — per-output request-word Vecs sized num_ports at construction; `o` is a port id < radix
@@ -60,6 +75,7 @@ impl QosSwitch {
         if glm | gbm | bem == 0 {
             // ssq-lint: allow(unchecked-hot-arith) — `arb_wait` is sized num_ports at construction; `o` is a port id < radix
             self.arb_wait[o] = 0;
+            self.waiting.remove(o);
             return;
         }
         let arb_latency = self.config.policy().arbitration_cycles();
@@ -67,10 +83,12 @@ impl QosSwitch {
         if self.arb_wait[o] + 1 < arb_latency {
             // ssq-lint: allow(unchecked-hot-arith) — `arb_wait` is sized num_ports and held below `arbitration_cycles` here; `o` is a port id < radix
             self.arb_wait[o] += 1;
+            self.waiting.insert(o);
             return;
         }
         // ssq-lint: allow(unchecked-hot-arith) — `arb_wait` is sized num_ports at construction; `o` is a port id < radix
         self.arb_wait[o] = 0;
+        self.waiting.remove(o);
         let Some((input, class)) = self.arbitrate_output(output, now, glm, gbm, bem) else {
             return;
         };
@@ -89,8 +107,7 @@ impl QosSwitch {
             self.gl_wait[o].record(waited);
         }
         sanitize::single_grant_commit(o, input, blocked.contains(input));
-        // ssq-lint: allow(unchecked-hot-arith) — per-output channel Vec sized num_ports at construction; `o` is a port id < radix
-        self.channels[o].commit(InputId::new(input), class, len, arb_latency);
+        self.commit_channel(output, InputId::new(input), class, len, arb_latency);
         blocked.insert(input);
         self.tracer.emit(|| Event {
             cycle: now.value(),
@@ -104,39 +121,13 @@ impl QosSwitch {
         });
     }
 
-    /// Materializes one class's request vector from its requester word,
-    /// in ascending input order.
-    //
-    // Mask bits are port ids < radix indexing the radix-sized port Vec;
-    // the expect fires only on a request word desynced from the queues,
-    // an invariant breach the debug cross-check pins every step.
-    // ssq-lint: allow(panic-freedom-reachability)
-    pub(super) fn requests_from_mask(
-        &self,
-        output: OutputId,
-        class: TrafficClass,
-        mask: u64,
-    ) -> Vec<Request> {
-        PortSet::from_bits(mask)
-            .iter()
-            .map(|i| {
-                // ssq-lint: allow(unchecked-hot-arith) — port Vec sized num_ports at construction; mask bits are port ids < radix by the sync invariant
-                let head = self.ports[i]
-                    .head(class, output)
-                    // ssq-lint: allow(no-unwrap) — a set request bit with no matching head means the incremental mask desynced from the queues: an invariant breach, not a recoverable condition
-                    .expect("request word set without a matching queue head");
-                Request::new(i, head.spec().len_flits())
-            })
-            .collect()
-    }
-
     /// Emits the [`EventKind::Decision`] of a committed arbitration.
     fn trace_decision(
         &mut self,
         now: Cycle,
         o: usize,
         class: TrafficClass,
-        contenders: usize,
+        contenders: u32,
         winner: usize,
     ) {
         self.tracer.emit(|| Event {
@@ -144,18 +135,17 @@ impl QosSwitch {
             kind: EventKind::Decision {
                 output: wire(o),
                 class,
-                contenders: contenders as u32,
+                contenders,
                 winner: wire(winner),
             },
         });
     }
 
-    /// The one arbitration of an idle `output` this cycle: builds the
-    /// per-class request sets from the requester words, calls the
-    /// selected round's arbiter once, runs the fabric cross-checks and
-    /// fault detectors against the post-arbitration state, and emits
-    /// the decision's trace events. Returns the committed
-    /// `(input, class)`.
+    /// The one arbitration of an idle `output` this cycle: hands the
+    /// per-class requester words to the selected round's arbiter once,
+    /// runs the fabric cross-checks and fault detectors against the
+    /// post-arbitration state, and emits the decision's trace events.
+    /// Returns the committed `(input, class)`.
     //
     // `o` < radix indexes the radix-sized per-output arbiter Vecs.
     // ssq-lint: allow(panic-freedom-reachability)
@@ -168,52 +158,43 @@ impl QosSwitch {
         bem: u64,
     ) -> Option<(usize, TrafficClass)> {
         let o = output.index();
-        let gl = self.requests_from_mask(output, TrafficClass::GuaranteedLatency, glm);
-        let gb = self.requests_from_mask(output, TrafficClass::GuaranteedBandwidth, gbm);
-        let be = self.requests_from_mask(output, TrafficClass::BestEffort, bem);
+        // A requester's class is its highest-class head.
+        let class_of = |w: usize| {
+            if PortSet::from_bits(glm).contains(w) {
+                TrafficClass::GuaranteedLatency
+            } else if PortSet::from_bits(gbm).contains(w) {
+                TrafficClass::GuaranteedBandwidth
+            } else {
+                TrafficClass::BestEffort
+            }
+        };
         match self.config.policy() {
             Policy::LrgOnly => {
                 // Class-blind LRG over every requester; a winner sends
                 // its highest-class head.
-                let mut requesters: Vec<usize> = Vec::new();
-                for r in gl.iter().chain(&gb).chain(&be) {
-                    if !requesters.contains(&r.input()) {
-                        requesters.push(r.input());
-                    }
-                }
-                let reqs: Vec<Request> =
-                    requesters.into_iter().map(|i| Request::new(i, 1)).collect();
+                let reqs = PortSet::from_bits(glm | gbm | bem);
                 // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-                let w = self.flat_lrg[o].arbitrate(now, &reqs)?;
-                let class = self.best_class_of(w, output);
+                let w = self.flat_lrg[o].arbitrate(now, reqs, &|_| 1)?;
+                let class = class_of(w);
                 self.trace_decision(now, o, class, reqs.len(), w);
                 Some((w, class))
             }
             Policy::FourLevel => {
                 // GL -> level 3, GB -> level 1, BE -> level 0; per input,
                 // only its highest-class head competes.
-                let mut reqs: Vec<Request> = Vec::new();
-                for (class_reqs, level) in [(&gl, 3), (&gb, 1), (&be, 0)] {
-                    for r in class_reqs {
-                        if !reqs.iter().any(|q| q.input() == r.input()) {
-                            reqs.push(Request::new(r.input(), r.len_flits()).with_level(level));
-                        }
-                    }
-                }
+                let levels = [
+                    PortSet::from_bits(bem & !gbm & !glm),
+                    PortSet::from_bits(gbm & !glm),
+                    PortSet::EMPTY,
+                    PortSet::from_bits(glm),
+                ];
                 // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-                let w = self.four_level[o].arbitrate(now, &reqs)?;
-                let class = reqs
-                    .iter()
-                    .find(|r| r.input() == w)
-                    .map(|r| match r.level() {
-                        3 => TrafficClass::GuaranteedLatency,
-                        1 => TrafficClass::GuaranteedBandwidth,
-                        _ => TrafficClass::BestEffort,
-                    })?;
-                self.trace_decision(now, o, class, reqs.len(), w);
+                let (w, _) = self.four_level[o].arbitrate_levels(levels)?;
+                let class = class_of(w);
+                self.trace_decision(now, o, class, (glm | gbm | bem).count_ones(), w);
                 Some((w, class))
             }
-            _ => self.arbitrate_strict_priority(output, now, gl, gb, be),
+            _ => self.arbitrate_strict_priority(output, now, glm, gbm, bem),
         }
     }
 
@@ -221,20 +202,22 @@ impl QosSwitch {
     /// GL > BE. A demoted GL class (lost lane, DESIGN.md §8) keeps
     /// service but no longer preempts GB.
     //
-    // `o` < radix indexes the radix-sized per-output Vecs; the two
+    // `o` < radix indexes the radix-sized per-output Vecs; `msbs` is a
+    // 64-slot array indexed by requester ids < radix ≤ 64; the two
     // assert_eq! are the fabric cross-checks `fabric_checked` runs.
     // ssq-lint: allow(panic-freedom-reachability)
     fn arbitrate_strict_priority(
         &mut self,
         output: OutputId,
         now: Cycle,
-        gl: Vec<Request>,
-        mut gb: Vec<Request>,
-        be: Vec<Request>,
+        glm: u64,
+        gbm: u64,
+        bem: u64,
     ) -> Option<(usize, TrafficClass)> {
         let o = output.index();
+        let gl = PortSet::from_bits(glm);
         // ssq-lint: allow(unchecked-hot-arith) — per-output policer Vec sized num_ports at construction; `o` is a port id < radix
-        let policed = self.gl_policers[o].policed();
+        let policed = self.gl_policers[o].policed(self.clock);
         let demoted = self.faultctl.gl_demoted(o);
         if policed && !gl.is_empty() {
             self.counters.gl_policed_cycles = self.counters.gl_policed_cycles.saturating_add(1);
@@ -243,24 +226,17 @@ impl QosSwitch {
                 cycle: now.value(),
                 kind: EventKind::GlPoliced {
                     output: wire(o),
-                    backlog: backlog as u32,
+                    backlog,
                 },
             });
         }
         // Demotion means GL lost its dedicated lane, not its service:
         // demoted GL competes *inside* the GB round (riding its
         // crosspoint's default vtick) instead of waiting below it.
-        let mut demoted_gl: Vec<usize> = Vec::new();
-        if demoted {
-            for r in &gl {
-                if !gb.iter().any(|q| q.input() == r.input()) {
-                    demoted_gl.push(r.input());
-                    gb.push(Request::new(r.input(), r.len_flits()));
-                }
-            }
-        }
+        let demoted_gl = PortSet::from_bits(if demoted { glm & !gbm } else { 0 });
+        let gb = PortSet::from_bits(gbm | demoted_gl.bits());
         let gb_class = |w: usize| {
-            if demoted_gl.contains(&w) {
+            if demoted_gl.contains(w) {
                 TrafficClass::GuaranteedLatency
             } else {
                 TrafficClass::GuaranteedBandwidth
@@ -268,9 +244,9 @@ impl QosSwitch {
         };
 
         if !gl.is_empty() && !policed && !demoted {
-            let circuit = self.fabric_decision(o, &gl, &[]);
+            let circuit = self.fabric_decision(o, gl, PortSet::EMPTY);
             // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let w = self.gl_lrg[o].arbitrate(now, &gl)?;
+            let w = self.gl_lrg[o].arbitrate(now, gl, &|_| 1)?;
             if let Some(outcome) = circuit {
                 let expected = outcome.winner();
                 #[cfg(feature = "faults")]
@@ -291,9 +267,9 @@ impl QosSwitch {
                     "fabric/behavioural GL disagreement at {output}, cycle {now}"
                 );
             }
-            let len = gl.iter().find(|r| r.input() == w)?.len_flits();
+            let len = head_len(&self.ports, TrafficClass::GuaranteedLatency, output, w);
             // ssq-lint: allow(unchecked-hot-arith) — per-output policer Vec sized num_ports at construction; `o` is a port id < radix
-            self.gl_policers[o].charge(len);
+            self.gl_policers[o].charge(len, self.clock);
             self.trace_decision(now, o, TrafficClass::GuaranteedLatency, gl.len(), w);
             return Some((w, TrafficClass::GuaranteedLatency));
         }
@@ -303,29 +279,44 @@ impl QosSwitch {
             // advanced, and the fabric cross-check is off (the circuit
             // no longer models the grant).
             // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let w = self.flat_lrg[o].arbitrate(now, &gb)?;
+            let w = self.flat_lrg[o].arbitrate(now, gb, &|_| 1)?;
             let class = gb_class(w);
             self.trace_decision(now, o, class, gb.len(), w);
             return Some((w, class));
         }
         if !gb.is_empty() {
-            let circuit = self.fabric_decision(o, &[], &gb);
+            self.settle_engine(o);
+            let circuit = self.fabric_decision(o, PortSet::EMPTY, gb);
             // Snapshot the MSB lanes before the arbitration mutates
             // auxVC state, so inhibit events carry the values the losers
             // were actually defeated with.
             let watch = !self.tracer.is_off();
+            let mut msbs = [0u64; 64];
+            let mut saturations_before = 0;
             // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
-            let (msbs, saturations_before): (Vec<(usize, u64)>, u64) = match &self.gb_engines[o] {
-                GbEngine::Ssvc(ssvc) if watch => (
-                    gb.iter()
-                        .map(|r| (r.input(), ssvc.msb_value(r.input())))
-                        .collect(),
-                    ssvc.saturation_count(),
-                ),
-                _ => (Vec::new(), 0),
+            if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
+                if watch {
+                    for i in gb {
+                        // ssq-lint: allow(unchecked-hot-arith) — 64-slot snapshot indexed by a requester id < radix ≤ 64
+                        msbs[i] = ssvc.msb_value(i);
+                    }
+                    saturations_before = ssvc.saturation_count();
+                }
+            }
+            let ports = &self.ports;
+            // A demoted GL requester rides its GL head through the GB round.
+            let len_of = |i: usize| {
+                let class = if demoted_gl.contains(i) {
+                    TrafficClass::GuaranteedLatency
+                } else {
+                    TrafficClass::GuaranteedBandwidth
+                };
+                head_len(ports, class, output, i)
             };
             // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
-            let w = self.gb_engines[o].as_arbiter()?.arbitrate(now, &gb)?;
+            let w = self.gb_engines[o]
+                .as_arbiter()?
+                .arbitrate(now, gb, &len_of)?;
             if let Some(outcome) = circuit {
                 let expected = outcome.winner();
                 #[cfg(feature = "faults")]
@@ -346,6 +337,9 @@ impl QosSwitch {
                     "fabric/behavioural GB disagreement at {output}, cycle {now}"
                 );
             }
+            // GB requesters first, then demoted GL ones: the order the
+            // detectors scan and the inhibit events are emitted in.
+            let contenders = PortSet::from_bits(gbm).iter().chain(demoted_gl.iter());
             // With a fault armed, the V2/V3 sanitizer predicates run
             // unconditionally and *classify* (Detected → retry →
             // degrade) instead of panicking. Every contender is scanned,
@@ -358,8 +352,7 @@ impl QosSwitch {
                 // ssq-lint: allow(unchecked-hot-arith) — per-output engine Vec sized num_ports at construction; `o` is a port id < radix
                 if let GbEngine::Ssvc(ssvc) = &self.gb_engines[o] {
                     let cap = ssvc.config().saturation_cap();
-                    for r in &gb {
-                        let i = r.input();
+                    for i in contenders.clone() {
                         let code = ssvc.thermometer_code(i);
                         let aux = ssvc.aux_vc(i);
                         if !ssq_types::invariant::thermometer_well_formed(code) {
@@ -393,10 +386,13 @@ impl QosSwitch {
                     ssvc.config().saturation_cap(),
                 );
                 if watch {
-                    let winner_msb = msbs.iter().find(|&&(i, _)| i == w).map_or(0, |&(_, m)| m);
+                    // ssq-lint: allow(unchecked-hot-arith) — 64-slot snapshot indexed by the winner, a requester id < radix ≤ 64
+                    let winner_msb = msbs[w];
                     let aux = ssvc.aux_vc(w);
                     let saturated = ssvc.saturation_count() > saturations_before;
-                    for &(i, msb) in msbs.iter().filter(|&&(i, _)| i != w) {
+                    for i in contenders.filter(|&i| i != w) {
+                        // ssq-lint: allow(unchecked-hot-arith) — 64-slot snapshot indexed by a requester id < radix ≤ 64
+                        let msb = msbs[i];
                         self.tracer.emit(|| Event {
                             cycle: now.value(),
                             kind: EventKind::Inhibit {
@@ -424,15 +420,16 @@ impl QosSwitch {
         }
         if !gl.is_empty() {
             // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-            let w = self.gl_lrg[o].arbitrate(now, &gl)?;
-            let len = gl.iter().find(|r| r.input() == w)?.len_flits();
+            let w = self.gl_lrg[o].arbitrate(now, gl, &|_| 1)?;
+            let len = head_len(&self.ports, TrafficClass::GuaranteedLatency, output, w);
             // ssq-lint: allow(unchecked-hot-arith) — per-output policer Vec sized num_ports at construction; `o` is a port id < radix
-            self.gl_policers[o].charge(len);
+            self.gl_policers[o].charge(len, self.clock);
             self.trace_decision(now, o, TrafficClass::GuaranteedLatency, gl.len(), w);
             return Some((w, TrafficClass::GuaranteedLatency));
         }
+        let be = PortSet::from_bits(bem);
         // ssq-lint: allow(unchecked-hot-arith) — per-output arbiter Vec sized num_ports at construction; `o` is a port id < radix
-        let w = self.be_lrg[o].arbitrate(now, &be)?;
+        let w = self.be_lrg[o].arbitrate(now, be, &|_| 1)?;
         self.trace_decision(now, o, TrafficClass::BestEffort, be.len(), w);
         Some((w, TrafficClass::BestEffort))
     }

@@ -71,7 +71,6 @@
 
 pub mod analyze;
 pub mod backoff;
-pub mod bitmask;
 mod channel;
 mod config;
 pub mod faultctl;
@@ -94,4 +93,5 @@ pub use port::InputPort;
 pub use prof::CycleProf;
 pub use reservations::{GbReservation, ReadmitAction, ReadmitDecision, Reservations};
 pub use ssq_check::{Preflight, Report};
+pub use ssq_types::PortSet;
 pub use switch::{QosSwitch, SwitchCounters};

@@ -81,6 +81,12 @@ impl CycleProf {
         self.inner.record_output(output, ns);
     }
 
+    /// Adds one sampled cycle's output-visit and clock-settle counts.
+    #[inline]
+    pub fn record_counts(&mut self, visits: u64, settles: u64) {
+        self.inner.record_counts(visits, settles);
+    }
+
     /// Snapshots the accumulated totals.
     #[must_use]
     pub fn report(&self) -> Option<ProfReport> {
@@ -149,6 +155,10 @@ impl CycleProf {
     /// No-op (stub).
     #[inline(always)]
     pub fn record_output(&mut self, _output: usize, _ns: u64) {}
+
+    /// No-op (stub).
+    #[inline(always)]
+    pub fn record_counts(&mut self, _visits: u64, _settles: u64) {}
 
     /// Always `None`: an unprofiled build has no data, which callers
     /// surface as a rebuild hint.

@@ -271,6 +271,9 @@ pub struct Fabric {
     meta: BTreeMap<u64, PacketMeta>,
     next_seq: u64,
     events: Vec<Event>,
+    /// The buffer `route_deliveries` swaps through the node delivery
+    /// logs (empty between calls).
+    delivery_buf: Vec<(Cycle, PacketSpec)>,
     counters: FabricCounters,
     loss: BTreeMap<(usize, String), u64>,
     rng: Xoshiro256StarStar,
@@ -402,6 +405,7 @@ impl Fabric {
             meta: BTreeMap::new(),
             next_seq: 0,
             events: Vec::new(),
+            delivery_buf: Vec::new(),
             counters: FabricCounters::default(),
             loss: BTreeMap::new(),
             rng: Xoshiro256StarStar::seed_from_u64(seed),
@@ -771,9 +775,15 @@ impl Fabric {
     }
 
     fn route_deliveries(&mut self, now: Cycle) {
+        // One buffer circulates through the nodes' delivery logs, so a
+        // steady-state cycle allocates nothing here.
+        let mut delivered = std::mem::take(&mut self.delivery_buf);
         for n in 0..self.nodes.len() {
-            let delivered = self.nodes.get_mut(n).expect("in range").drain_deliveries();
-            for (_at, pkt) in delivered {
+            self.nodes
+                .get_mut(n)
+                .expect("in range")
+                .swap_deliveries(&mut delivered);
+            for (_at, pkt) in delivered.drain(..) {
                 let raw = pkt.id().raw();
                 let Some(meta) = self.meta.get(&raw).copied() else {
                     continue; // not a fabric packet
@@ -813,6 +823,7 @@ impl Fabric {
                 }
             }
         }
+        self.delivery_buf = delivered;
     }
 
     fn nack_or_drop(&mut self, l: usize, pkt: PacketSpec, policy: &BackoffPolicy, now: Cycle) {

@@ -87,6 +87,8 @@ pub struct Profiler {
     sampling: bool,
     phases: Vec<Acc>,
     outputs: Vec<Acc>,
+    visits: u64,
+    settles: u64,
 }
 
 impl Profiler {
@@ -103,6 +105,8 @@ impl Profiler {
             sampling: false,
             phases: vec![Acc::default(); names.len()],
             outputs: Vec::new(),
+            visits: 0,
+            settles: 0,
         }
     }
 
@@ -143,6 +147,8 @@ impl Profiler {
         self.sampling = false;
         self.phases.fill(Acc::default());
         self.outputs.fill(Acc::default());
+        self.visits = 0;
+        self.settles = 0;
     }
 
     /// Whether the profiler is currently armed.
@@ -198,6 +204,14 @@ impl Profiler {
         }
     }
 
+    /// Adds one sampled cycle's activity counts: the outputs its pass
+    /// visited and the clock settles it ran.
+    #[inline]
+    pub fn record_counts(&mut self, visits: u64, settles: u64) {
+        self.visits = self.visits.saturating_add(visits);
+        self.settles = self.settles.saturating_add(settles);
+    }
+
     /// Cycles seen while armed.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -216,6 +230,8 @@ impl Profiler {
         ProfReport {
             cycles: self.cycles,
             sampled_cycles: self.sampled,
+            output_visits: self.visits,
+            clock_settles: self.settles,
             phases: self
                 .names
                 .iter()
@@ -273,6 +289,10 @@ pub struct ProfReport {
     pub phases: Vec<PhaseLine>,
     /// Per-output arbitrate totals (empty unless detail mode was armed).
     pub outputs: Vec<OutputLine>,
+    /// Outputs the sampled cycles' passes visited (the active ones).
+    pub output_visits: u64,
+    /// Clock settles the sampled cycles ran.
+    pub clock_settles: u64,
 }
 
 impl ProfReport {
@@ -287,6 +307,18 @@ impl ProfReport {
     #[must_use]
     pub fn total_ns(&self) -> u64 {
         self.phases.iter().fold(0u64, |a, p| a.saturating_add(p.ns))
+    }
+
+    /// Mean outputs visited per sampled cycle, if anything was sampled.
+    #[must_use]
+    pub fn visits_per_cycle(&self) -> Option<f64> {
+        (self.sampled_cycles > 0).then(|| self.output_visits as f64 / self.sampled_cycles as f64)
+    }
+
+    /// Mean clock settles per sampled cycle, if anything was sampled.
+    #[must_use]
+    pub fn settles_per_cycle(&self) -> Option<f64> {
+        (self.sampled_cycles > 0).then(|| self.clock_settles as f64 / self.sampled_cycles as f64)
     }
 
     /// A named phase's share of total sampled time, if anything was
@@ -373,6 +405,11 @@ impl ProfReport {
             "profiled {} of {} cycles\n",
             self.sampled_cycles, self.cycles
         );
+        if let (Some(visits), Some(settles)) = (self.visits_per_cycle(), self.settles_per_cycle()) {
+            out.push_str(&format!(
+                "outputs visited per cycle: {visits:.2}; clock settles per cycle: {settles:.4}\n"
+            ));
+        }
         out.push_str(&self.phase_table().to_text());
         if !self.outputs.is_empty() {
             out.push_str(&self.output_table().to_text());
@@ -384,6 +421,24 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn activity_counts_average_over_sampled_cycles() {
+        let mut p = Profiler::kernel();
+        assert_eq!(p.report().visits_per_cycle(), None);
+        p.arm(1);
+        for k in 0..4 {
+            assert!(p.begin_cycle());
+            p.record_counts(k, u64::from(k == 3));
+        }
+        let r = p.report();
+        assert_eq!((r.output_visits, r.clock_settles), (6, 1));
+        assert_eq!(r.visits_per_cycle(), Some(1.5));
+        assert_eq!(r.settles_per_cycle(), Some(0.25));
+        assert!(r.render_text().contains("outputs visited per cycle: 1.50"));
+        p.reset();
+        assert_eq!(p.report().output_visits, 0);
+    }
 
     #[test]
     fn disarmed_profiler_never_samples() {

@@ -45,6 +45,7 @@ mod geometry;
 mod ids;
 pub mod invariant;
 mod packet;
+mod portset;
 pub mod rng;
 mod units;
 
@@ -53,5 +54,6 @@ pub use error::{GeometryError, RateError};
 pub use geometry::Geometry;
 pub use ids::{FlowId, InputId, OutputId, PacketId};
 pub use packet::{PacketSpec, MAX_PACKET_FLITS};
+pub use portset::{PortSet, SetBits};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use units::{Cycle, Cycles, Rate};

@@ -353,7 +353,7 @@ impl Model {
             (gl_lrg.peek(&gl), TrafficClass::GuaranteedLatency)
         } else if !gb.is_empty() {
             let w = match self.scenario.tie_break {
-                TieBreak::Lrg => ssvc.peek(&gb),
+                TieBreak::Lrg => ssvc.peek(gb.iter().copied().collect()),
                 #[cfg(test)]
                 TieBreak::HighestIndex => {
                     let min = gb.iter().map(|&c| ssvc.msb_value(c)).min();
