@@ -164,10 +164,6 @@ pub fn seed_summary(ty: &str, method: &str) -> Option<(u128, u128, &'static str)
                         constructed from geometry-bounded port loops)";
     match (ty, method) {
         ("InputId" | "OutputId", "index") => Some((0, 63, PORT)),
-        ("Request", "input") => Some((0, 63, PORT)),
-        ("Request", "len_flits") => {
-            Some((1, u64::MAX as u128, "Request::new asserts len_flits > 0"))
-        }
         _ => None,
     }
 }
@@ -1289,7 +1285,6 @@ mod tests {
     #[test]
     fn seed_summaries_cover_port_identifiers() {
         assert_eq!(seed_summary("InputId", "index").unwrap().1, 63);
-        assert_eq!(seed_summary("Request", "len_flits").unwrap().0, 1);
         assert!(seed_summary("InputId", "other").is_none());
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Every PR's `cargo xtask bench --json` run appends one document to
 //! the trajectory: cycles/sec per (runner, radix, load) cell, the
-//! profiler's per-phase breakdown, and host metadata (core count,
-//! build profile). `--diff` compares a fresh run against the latest
-//! prior document and fails on regressions past a threshold, which is
-//! what `scripts/check.sh` gates on; `ssq perf-report` renders the
-//! whole trajectory as one table.
+//! profiler's per-phase breakdown, and host metadata (core count, CPU
+//! model, rustc version, build profile). `--diff` compares a fresh run
+//! against the latest prior document and fails on regressions past a
+//! threshold, which is what `scripts/check.sh` gates on; it refuses to
+//! compare across build profiles or hosts. `ssq perf-report` renders
+//! the whole trajectory as one table.
 //!
 //! Schema 3 is the only schema: every cell holds measured rows only
 //! (the dense and the idle-skipping runner) plus the `prepare` /
@@ -83,6 +84,11 @@ pub struct BenchDoc {
     pub quick: bool,
     /// Host core count at capture time.
     pub host_cores: u64,
+    /// Host CPU model (`None` in records that predate it).
+    pub host_cpu: Option<String>,
+    /// `rustc --version` of the build (`None` in records that predate
+    /// it).
+    pub host_rustc: Option<String>,
     /// Warm-up cycles per cell.
     pub warmup_cycles: u64,
     /// Measured cycles per cell.
@@ -96,6 +102,30 @@ impl BenchDoc {
     #[must_use]
     pub fn name(&self) -> String {
         format!("BENCH_{}", self.pr)
+    }
+
+    /// Why `self` and `other` were measured on different hosts, if the
+    /// records say so: differing core counts, or differing CPU models or
+    /// rustc versions where both records carry them.
+    #[must_use]
+    pub fn host_mismatch(&self, other: &BenchDoc) -> Option<String> {
+        if self.host_cores != other.host_cores {
+            return Some(format!(
+                "host cores {} vs {}",
+                self.host_cores, other.host_cores
+            ));
+        }
+        for (what, a, b) in [
+            ("cpu", &self.host_cpu, &other.host_cpu),
+            ("rustc", &self.host_rustc, &other.host_rustc),
+        ] {
+            if let (Some(a), Some(b)) = (a, b) {
+                if a != b {
+                    return Some(format!("host {what} {a:?} vs {b:?}"));
+                }
+            }
+        }
+        None
     }
 
     /// Finds a cell by (radix, load).
@@ -136,6 +166,8 @@ impl BenchDoc {
                 .to_string(),
             quick: root.get("quick").and_then(Json::as_bool).unwrap_or(false),
             host_cores: field_u64(host, "cores")?,
+            host_cpu: host.get("cpu").and_then(Json::as_str).map(str::to_string),
+            host_rustc: host.get("rustc").and_then(Json::as_str).map(str::to_string),
             warmup_cycles: field_u64(&root, "warmup_cycles")?,
             measure_cycles: field_u64(&root, "measure_cycles")?,
             cells,
@@ -152,10 +184,13 @@ impl BenchDoc {
         out.push_str(&format!("  \"pr\": {},\n", self.pr));
         out.push_str(&format!("  \"profile\": \"{}\",\n", escape(&self.profile)));
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
-        out.push_str(&format!(
-            "  \"host\": {{\"cores\": {}}},\n",
-            self.host_cores
-        ));
+        out.push_str(&format!("  \"host\": {{\"cores\": {}", self.host_cores));
+        for (key, value) in [("cpu", &self.host_cpu), ("rustc", &self.host_rustc)] {
+            if let Some(value) = value {
+                out.push_str(&format!(", \"{key}\": \"{}\"", escape(value)));
+            }
+        }
+        out.push_str("},\n");
         out.push_str(&format!(
             "  \"warmup_cycles\": {},\n  \"measure_cycles\": {},\n  \"cells\": [",
             self.warmup_cycles, self.measure_cycles
@@ -272,7 +307,8 @@ impl DiffReport {
 /// Compares `next` against `prev` cell by cell. `threshold` is the
 /// minimum acceptable `next/prev` cycles-per-second ratio — 0.5 means
 /// "fail if throughput halved". Cross-profile comparisons (debug vs
-/// release) are skipped: the numbers answer different questions.
+/// release) and cross-host ones (see [`BenchDoc::host_mismatch`]) are
+/// refused: the numbers answer different questions.
 #[must_use]
 pub fn diff(prev: &BenchDoc, next: &BenchDoc, threshold: f64) -> DiffReport {
     let mut report = DiffReport::default();
@@ -280,6 +316,12 @@ pub fn diff(prev: &BenchDoc, next: &BenchDoc, threshold: f64) -> DiffReport {
         report.skipped = Some(format!(
             "profile mismatch ({} vs {}): wall-clock comparison skipped",
             prev.profile, next.profile
+        ));
+        return report;
+    }
+    if let Some(why) = prev.host_mismatch(next) {
+        report.skipped = Some(format!(
+            "host mismatch ({why}): wall-clock comparison refused"
         ));
         return report;
     }
@@ -389,6 +431,8 @@ mod tests {
             profile: "release".to_string(),
             quick: false,
             host_cores: 4,
+            host_cpu: Some("Example CPU @ 2.0GHz".to_string()),
+            host_rustc: Some("rustc 1.0.0".to_string()),
             warmup_cycles: 200,
             measure_cycles: 1500,
             cells: vec![BenchCell {
@@ -475,6 +519,38 @@ mod tests {
         let report = diff(&prev, &next, 0.5);
         assert!(report.passed(), "skipped, not failed");
         assert!(report.skipped.is_some());
+    }
+
+    #[test]
+    fn diff_refuses_cross_host_comparison() {
+        let prev = doc(6, 75_000.0, 71_000.0);
+        for change in [
+            |d: &mut BenchDoc| d.host_cpu = Some("Other CPU".to_string()),
+            |d: &mut BenchDoc| d.host_rustc = Some("rustc 2.0.0".to_string()),
+            |d: &mut BenchDoc| d.host_cores = 64,
+        ] {
+            let mut next = doc(7, 100.0, 100.0);
+            change(&mut next);
+            let report = diff(&prev, &next, 0.5);
+            assert!(report.passed(), "refused, not failed");
+            let note = report.skipped.expect("cross-host diff refused");
+            assert!(note.contains("host mismatch"), "{note}");
+            assert!(report.lines.is_empty());
+        }
+    }
+
+    #[test]
+    fn records_without_a_host_fingerprint_still_parse_and_compare() {
+        let mut old = doc(6, 75_000.0, 71_000.0);
+        old.host_cpu = None;
+        old.host_rustc = None;
+        let text = old.render();
+        assert!(text.contains("\"host\": {\"cores\": 4},"), "{text}");
+        let parsed = BenchDoc::parse(&text).expect("fingerprint is optional");
+        assert_eq!(parsed, old);
+        let report = diff(&parsed, &doc(7, 74_000.0, 70_000.0), 0.5);
+        assert!(report.skipped.is_none());
+        assert!(report.passed());
     }
 
     #[test]

@@ -286,6 +286,26 @@ fn print_cell(cell: &BenchCell, kernel: Option<&ProfReport>, outputs: bool) {
     }
 }
 
+/// The host CPU model (`model name` in `/proc/cpuinfo`), if readable.
+fn cpu_model() -> Option<String> {
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    info.lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map(|(_, model)| model.trim().to_string())
+}
+
+/// The `rustc --version` line of the toolchain on `PATH` (or `$RUSTC`),
+/// if it runs.
+fn rustc_version() -> Option<String> {
+    let rustc = std::env::var_os("RUSTC").unwrap_or_else(|| "rustc".into());
+    let out = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()?;
+    let text = String::from_utf8(out.stdout).ok()?;
+    out.status.success().then(|| text.trim().to_string())
+}
+
 /// Entry point for
 /// `cargo xtask bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--outputs]`.
 pub fn run(args: &[String], root: &Path) -> ExitCode {
@@ -331,6 +351,7 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
     let host_cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    let (host_cpu, host_rustc) = (cpu_model(), rustc_version());
     let profile = if cfg!(debug_assertions) {
         "debug"
     } else {
@@ -362,6 +383,11 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         "== xtask bench ({label}: {} cycles/cell, host cores: {host_cores}, profile: {profile}) ==",
         warmup + measure,
     );
+    println!(
+        "host: {}; {}",
+        host_cpu.as_deref().unwrap_or("unknown CPU"),
+        host_rustc.as_deref().unwrap_or("unknown rustc")
+    );
 
     let mut cells = Vec::new();
     for &radix in radices {
@@ -381,6 +407,8 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         profile: profile.to_string(),
         quick,
         host_cores: host_cores as u64,
+        host_cpu,
+        host_rustc,
         warmup_cycles: warmup,
         measure_cycles: measure,
         cells,
@@ -409,6 +437,9 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
                         let report = trajectory::diff(&prev, &doc, threshold);
                         if let Some(note) = &report.skipped {
                             println!("bench diff: {note}");
+                            if note.contains("host mismatch") {
+                                eprintln!("bench diff REFUSED: {note}");
+                            }
                         }
                         for line in &report.lines {
                             println!("  {line}");
@@ -514,6 +545,8 @@ mod tests {
             profile: "debug".to_string(),
             quick: true,
             host_cores: 4,
+            host_cpu: None,
+            host_rustc: None,
             warmup_cycles: 20,
             measure_cycles: 60,
             cells: vec![cell],

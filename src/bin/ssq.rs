@@ -113,10 +113,12 @@ OBSERVABILITY OPTIONS (simulate):
                           watchdog trips (default 10000)
   --gl-bound N            arm the GL wait watchdog at N cycles (Eq. 1)
   --prof                  time every stepped measured cycle's phases, print
-                          the prepare/arbitrate breakdown and the stepped
-                          vs idle-skipped cycle counts; needs a build with
-                          `--features prof`, and is incompatible with the
-                          monitored modes (--flight-recorder, --gl-bound)
+                          the prepare/arbitrate breakdown, the outputs
+                          visited and clock settles per cycle, and the
+                          stepped vs idle-skipped cycle counts; needs a
+                          build with `--features prof`, and is
+                          incompatible with the monitored modes
+                          (--flight-recorder, --gl-bound)
 
 PERF-REPORT OPTIONS:
   --results DIR           directory holding BENCH_<n>.json (default results)
@@ -1356,6 +1358,8 @@ mod tests {
             profile: "release".to_owned(),
             quick: false,
             host_cores: 8,
+            host_cpu: None,
+            host_rustc: None,
             warmup_cycles: 100,
             measure_cycles: 400,
             cells: vec![BenchCell {
