@@ -28,7 +28,9 @@ use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig, SwitchCounters};
 use swizzle_qos::sim::{BitparRunner, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
-use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
+use swizzle_qos::traffic::{
+    Bernoulli, FixedDest, Injector, Periodic, Saturating, Trace, UniformDest,
+};
 use swizzle_qos::types::{
     Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
 };
@@ -261,6 +263,9 @@ struct Observation {
     counters: SwitchCounters,
     metrics: String,
     events: Vec<Event>,
+    /// Per-output channel state and utilization, then per-input buffer
+    /// occupancy: compared across runners but outside the digest.
+    datapath: Vec<String>,
 }
 
 /// Per-flow metrics across all three classes, serialized exactly:
@@ -383,7 +388,26 @@ fn observe(switch: &QosSwitch) -> Observation {
             .ring()
             .map(RingSink::events)
             .unwrap_or_default(),
+        datapath: datapath(switch),
     }
+}
+
+/// The end-of-run datapath state the digests leave out: each output
+/// channel's FSM state and utilization counters, and each input port's
+/// buffer occupancy.
+fn datapath(switch: &QosSwitch) -> Vec<String> {
+    let radix = switch.config().geometry().radix();
+    let channels = (0..radix).map(|o| {
+        let ch = switch.channel(OutputId::new(o));
+        format!(
+            "{:?} busy {} arb {}",
+            ch.state(),
+            ch.busy_flit_cycles(),
+            ch.arbitration_cycles()
+        )
+    });
+    let ports = (0..radix).map(|i| switch.port(InputId::new(i)).to_string());
+    channels.chain(ports).collect()
 }
 
 /// Drives `switch` through `schedule` on the dense runner, or with
@@ -409,6 +433,10 @@ fn assert_identical(seq: &Observation, other: &Observation, scenario: &str) {
     assert_eq!(
         seq.metrics, other.metrics,
         "{tag} per-flow metrics diverged"
+    );
+    assert_eq!(
+        seq.datapath, other.datapath,
+        "{tag} channel or buffer state diverged"
     );
     assert_eq!(
         seq.events.len(),
@@ -607,6 +635,8 @@ enum Act {
     HealAll,
     /// Renegotiate `(input, output)`'s GB reservation to a new rate.
     Reserve(usize, usize, f64),
+    /// Attach a freshly built injector.
+    Attach(fn() -> Injector),
 }
 
 /// A scripted scenario: a switch, a horizon, and timed actions.
@@ -631,6 +661,7 @@ fn apply(switch: &mut QosSwitch, act: Act, now: swizzle_qos::types::Cycle) {
                 8,
             )
             .expect("renegotiated rate fits"),
+        Act::Attach(injector) => switch.add_injector(injector()),
     }
 }
 
@@ -961,6 +992,356 @@ fn ssvc_sparse_switch() -> QosSwitch {
     switch
 }
 
+/// Packets of 40 to 200 flits, far longer than any arrival gap or
+/// clock period, from periodic and trace sources in all three classes:
+/// most cycles only move flits on busy channels.
+fn long_packet_switch() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(400)
+        .be_buffer_flits(256)
+        .gl_buffer_flits(16)
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    gb(&mut config, 0, 1, 0.3, 200);
+    gb(&mut config, 2, 1, 0.2, 40);
+    gb(&mut config, 3, 4, 0.4, 120);
+    config
+        .reservations_mut()
+        .reserve_gl(OutputId::new(1), Rate::new(0.02).expect("valid rate"))
+        .expect("GL reservation fits");
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    let one = || Box::new(FixedDest::new(OutputId::new(1)));
+    for (i, interval, phase, len) in [(0, 700, 0, 200), (0, 1_400, 350, 200), (2, 230, 17, 40)] {
+        inject(
+            &mut switch,
+            i,
+            Box::new(Periodic::new(interval, phase, len)),
+            one(),
+            TrafficClass::GuaranteedBandwidth,
+        );
+    }
+    inject(
+        &mut switch,
+        3,
+        Box::new(Trace::new(vec![
+            (90, 120),
+            (95, 64),
+            (1_500, 200),
+            (4_000, 77),
+        ])),
+        Box::new(FixedDest::new(OutputId::new(4))),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        5,
+        Box::new(Periodic::new(900, 44, 150)),
+        Box::new(UniformDest::new(RADIX, 13)),
+        TrafficClass::BestEffort,
+    );
+    inject(
+        &mut switch,
+        6,
+        Box::new(Periodic::new(333, 101, 1)),
+        one(),
+        TrafficClass::GuaranteedLatency,
+    );
+    switch
+}
+
+/// Packet chaining with bursts of queued packets on one VOQ, so chains
+/// of up to `CHAIN_LIMIT` packets run through stretches where nothing
+/// else happens; a competing flow and a GL source break some chains.
+fn chaining_switch() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::Halve))
+        .gb_buffer_flits(128)
+        .be_buffer_flits(64)
+        .sig_bits(3)
+        .gl_policing(true)
+        .packet_chaining(true)
+        .build()
+        .expect("valid config");
+    gb(&mut config, 1, 2, 0.4, 24);
+    gb(&mut config, 4, 2, 0.2, 16);
+    config
+        .reservations_mut()
+        .reserve_gl(OutputId::new(2), Rate::new(0.02).expect("valid rate"))
+        .expect("GL reservation fits");
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    let two = || Box::new(FixedDest::new(OutputId::new(2)));
+    for k in 0..5 {
+        inject(
+            &mut switch,
+            1,
+            Box::new(Periodic::new(640, k, 24)),
+            two(),
+            TrafficClass::GuaranteedBandwidth,
+        );
+    }
+    for k in 0..3 {
+        inject(
+            &mut switch,
+            4,
+            Box::new(Periodic::new(1_280, 60 + 2 * k, 16)),
+            two(),
+            TrafficClass::GuaranteedBandwidth,
+        );
+    }
+    for k in 0..4 {
+        inject(
+            &mut switch,
+            6,
+            Box::new(Periodic::new(910, 300 + k, 12)),
+            Box::new(FixedDest::new(OutputId::new(5))),
+            TrafficClass::BestEffort,
+        );
+    }
+    inject(
+        &mut switch,
+        7,
+        Box::new(Periodic::new(777, 41, 2)),
+        two(),
+        TrafficClass::GuaranteedLatency,
+    );
+    switch
+}
+
+/// The 4-level design while every requester of an output is busy on
+/// another one: inputs 0-2 stream long packets to outputs 0-2 and then
+/// request output 3, and input 5 is taken by output 4 one cycle into
+/// output 2's two-cycle wait.
+fn four_level_busy_switch() -> QosSwitch {
+    let config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::FourLevel)
+        .gb_buffer_flits(128)
+        .be_buffer_flits(64)
+        .build()
+        .expect("valid config");
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    let to = |o: usize| Box::new(FixedDest::new(OutputId::new(o)));
+    for i in 0..3 {
+        inject(
+            &mut switch,
+            i,
+            Box::new(Periodic::new(500, 10 * i as u64, 60)),
+            to(i),
+            TrafficClass::GuaranteedBandwidth,
+        );
+        inject(
+            &mut switch,
+            i,
+            Box::new(Periodic::new(500, 25 + i as u64, 8)),
+            to(3),
+            TrafficClass::GuaranteedBandwidth,
+        );
+    }
+    inject(
+        &mut switch,
+        5,
+        Box::new(Periodic::new(400, 200, 30)),
+        to(4),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        5,
+        Box::new(Periodic::new(400, 201, 10)),
+        to(2),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        6,
+        Box::new(Periodic::new(250, 30, 1)),
+        to(3),
+        TrafficClass::GuaranteedLatency,
+    );
+    inject(
+        &mut switch,
+        7,
+        Box::new(Periodic::new(610, 7, 20)),
+        to(1),
+        TrafficClass::BestEffort,
+    );
+    switch
+}
+
+/// Trace bursts (back-to-back arrival cycles) landing in the middle of
+/// long packets, on the transmitting input and on idle ones.
+fn trace_burst_switch() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::Reset))
+        .gb_buffer_flits(256)
+        .be_buffer_flits(64)
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    gb(&mut config, 0, 3, 0.3, 64);
+    gb(&mut config, 1, 3, 0.3, 8);
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    let three = || Box::new(FixedDest::new(OutputId::new(3)));
+    inject(
+        &mut switch,
+        0,
+        Box::new(Periodic::new(1_000, 100, 64)),
+        three(),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    let burst = |start: u64, n: u64, len: u64| (start..start + n).map(move |c| (c, len));
+    inject(
+        &mut switch,
+        0,
+        Box::new(Trace::new(
+            burst(130, 4, 64).chain(burst(2_140, 3, 64)).collect(),
+        )),
+        three(),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        1,
+        Box::new(Trace::new(
+            burst(120, 6, 8)
+                .chain(burst(1_150, 5, 8))
+                .chain(burst(3_160, 8, 8))
+                .collect(),
+        )),
+        three(),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        2,
+        Box::new(Trace::new(
+            burst(1_133, 5, 3).chain(burst(3_170, 4, 5)).collect(),
+        )),
+        Box::new(UniformDest::new(RADIX, 3)),
+        TrafficClass::BestEffort,
+    );
+    switch
+}
+
+/// Long packets whose input links go down and come back mid-packet.
+fn mid_packet_flap_switch() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(256)
+        .be_buffer_flits(128)
+        .sig_bits(3)
+        .packet_chaining(true)
+        .build()
+        .expect("valid config");
+    gb(&mut config, 0, 1, 0.4, 100);
+    gb(&mut config, 2, 1, 0.2, 50);
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    let one = || Box::new(FixedDest::new(OutputId::new(1)));
+    for k in 0..2 {
+        inject(
+            &mut switch,
+            0,
+            Box::new(Periodic::new(600, k, 100)),
+            one(),
+            TrafficClass::GuaranteedBandwidth,
+        );
+    }
+    inject(
+        &mut switch,
+        2,
+        Box::new(Periodic::new(450, 30, 50)),
+        one(),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    inject(
+        &mut switch,
+        4,
+        Box::new(Periodic::new(520, 12, 90)),
+        Box::new(FixedDest::new(OutputId::new(6))),
+        TrafficClass::BestEffort,
+    );
+    switch
+}
+
+/// Link flaps timed inside transmissions of inputs 0, 2 and 4.
+fn mid_packet_flap_acts() -> Vec<(u64, Act)> {
+    let mut acts = Vec::new();
+    for k in 0..8u64 {
+        let base = 640 + 600 * k;
+        let input = [0usize, 2, 4][(k % 3) as usize];
+        acts.push((base + 20 * (k % 3), Act::Link(input, false)));
+        acts.push((base + 31 + 20 * (k % 3), Act::Link(input, true)));
+    }
+    acts.sort_by_key(|&(at, _)| at);
+    acts
+}
+
+/// A sparse periodic switch that gains injectors mid-run.
+fn attach_switch() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(64)
+        .be_buffer_flits(64)
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    gb(&mut config, 0, 2, 0.3, 32);
+    gb(&mut config, 3, 2, 0.3, 16);
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    inject(
+        &mut switch,
+        0,
+        Box::new(Periodic::new(300, 5, 32)),
+        Box::new(FixedDest::new(OutputId::new(2))),
+        TrafficClass::GuaranteedBandwidth,
+    );
+    switch
+}
+
+fn attach_acts() -> Vec<(u64, Act)> {
+    vec![
+        // Due on the attach cycle itself.
+        (
+            1_505,
+            Act::Attach(|| {
+                Injector::new(
+                    Box::new(Periodic::new(300, 5, 16)),
+                    Box::new(FixedDest::new(OutputId::new(2))),
+                    TrafficClass::GuaranteedBandwidth,
+                )
+                .for_input(InputId::new(3))
+            }),
+        ),
+        // Attached while output 2 is transmitting, first due later.
+        (
+            2_110,
+            Act::Attach(|| {
+                Injector::new(
+                    Box::new(Trace::new(vec![(2_130, 40), (2_131, 40), (3_000, 24)])),
+                    Box::new(FixedDest::new(OutputId::new(5))),
+                    TrafficClass::BestEffort,
+                )
+                .for_input(InputId::new(6))
+            }),
+        ),
+        // A saturating source for a while, then a silent one.
+        (
+            4_020,
+            Act::Attach(|| {
+                Injector::new(
+                    Box::new(Saturating::new(16)),
+                    Box::new(FixedDest::new(OutputId::new(7))),
+                    TrafficClass::BestEffort,
+                )
+                .for_input(InputId::new(7))
+            }),
+        ),
+        (4_020, Act::Link(7, false)),
+        (4_300, Act::Link(7, true)),
+    ]
+}
+
 fn scripted() -> Vec<Scripted> {
     vec![
         Scripted {
@@ -1016,6 +1397,48 @@ fn scripted() -> Vec<Scripted> {
                 (6_100, Act::SkipEpochs(2, 1)),
                 (6_100, Act::HealAll),
             ],
+        },
+        Scripted {
+            id: "long-packets/40-200-flits",
+            switch: long_packet_switch,
+            cycles: 9_000,
+            warmup: 400,
+            acts: Vec::new(),
+        },
+        Scripted {
+            id: "chaining/chains-across-skips",
+            switch: chaining_switch,
+            cycles: 8_000,
+            warmup: 300,
+            acts: Vec::new(),
+        },
+        Scripted {
+            id: "four-level/requesters-busy-elsewhere",
+            switch: four_level_busy_switch,
+            cycles: 6_000,
+            warmup: 100,
+            acts: Vec::new(),
+        },
+        Scripted {
+            id: "trace/bursts-mid-packet",
+            switch: trace_burst_switch,
+            cycles: 4_000,
+            warmup: 50,
+            acts: Vec::new(),
+        },
+        Scripted {
+            id: "link-flap/mid-packet",
+            switch: mid_packet_flap_switch,
+            cycles: 6_000,
+            warmup: 200,
+            acts: mid_packet_flap_acts(),
+        },
+        Scripted {
+            id: "attach/injector-mid-run",
+            switch: attach_switch,
+            cycles: 6_000,
+            warmup: 1_000,
+            acts: attach_acts(),
         },
     ]
 }
