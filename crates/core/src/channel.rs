@@ -117,6 +117,31 @@ impl OutputChannel {
         Some((input, class, remaining == 0))
     }
 
+    /// Moves `k` flits that leave the committed packet unfinished: the
+    /// same state as `k` calls of [`OutputChannel::transmit_flit`] that
+    /// each report an unfinished packet. A no-op on an idle channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` flits would finish the packet.
+    //
+    // The assert is the documented contract, and it guards the
+    // subtraction.
+    // ssq-lint: allow(panic-freedom-reachability)
+    pub fn advance_flits(&mut self, k: u64) {
+        if let ChannelState::Transmitting {
+            remaining_flits, ..
+        } = &mut self.state
+        {
+            assert!(
+                k < *remaining_flits,
+                "advancing {k} flits would finish the packet"
+            );
+            *remaining_flits -= k;
+            self.busy_flit_cycles = self.busy_flit_cycles.saturating_add(k);
+        }
+    }
+
     /// Cycles spent moving flits since the last reset.
     #[must_use]
     pub const fn busy_flit_cycles(&self) -> u64 {
@@ -202,6 +227,33 @@ mod tests {
         let mut ch = OutputChannel::new(OutputId::new(0));
         assert!(ch.transmit_flit().is_none());
         assert_eq!(ch.busy_flit_cycles(), 0);
+    }
+
+    #[test]
+    fn advance_flits_equals_single_flit_transmissions() {
+        for k in 0..5 {
+            let mut batched = OutputChannel::new(OutputId::new(2));
+            batched.commit(InputId::new(1), TrafficClass::BestEffort, 5, 1);
+            batched.advance_flits(k);
+            let mut stepped = OutputChannel::new(OutputId::new(2));
+            stepped.commit(InputId::new(1), TrafficClass::BestEffort, 5, 1);
+            for _ in 0..k {
+                let (_, _, done) = stepped.transmit_flit().expect("busy channel transmits");
+                assert!(!done);
+            }
+            assert_eq!(batched, stepped, "k = {k}");
+        }
+        let mut idle = OutputChannel::new(OutputId::new(0));
+        idle.advance_flits(3);
+        assert_eq!(idle, OutputChannel::new(OutputId::new(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "would finish")]
+    fn advance_flits_refuses_the_last_flit() {
+        let mut ch = OutputChannel::new(OutputId::new(0));
+        ch.commit(InputId::new(0), TrafficClass::BestEffort, 2, 1);
+        ch.advance_flits(2);
     }
 
     #[test]

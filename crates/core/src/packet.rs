@@ -60,6 +60,25 @@ impl Packet {
         self.remaining_flits -= 1;
         self.remaining_flits == 0
     }
+
+    /// Transmits `k` flits that leave the packet unfinished: the same
+    /// state as `k` calls of [`Packet::transmit_flit`] that each return
+    /// `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` flits would complete the packet.
+    //
+    // The assert is the documented contract, and it guards the
+    // subtraction.
+    // ssq-lint: allow(panic-freedom-reachability)
+    pub fn advance_flits(&mut self, k: u64) {
+        assert!(
+            k < self.remaining_flits,
+            "advancing {k} flits would complete the packet"
+        );
+        self.remaining_flits -= k;
+    }
 }
 
 impl fmt::Display for Packet {
@@ -101,6 +120,25 @@ mod tests {
         let mut p = packet(1);
         let _ = p.transmit_flit();
         let _ = p.transmit_flit();
+    }
+
+    #[test]
+    fn advance_flits_equals_single_flit_transmissions() {
+        for k in 0..7 {
+            let mut batched = packet(7);
+            batched.advance_flits(k);
+            let mut stepped = packet(7);
+            for _ in 0..k {
+                assert!(!stepped.transmit_flit());
+            }
+            assert_eq!(batched, stepped, "k = {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "would complete")]
+    fn advance_flits_refuses_the_last_flit() {
+        packet(3).advance_flits(3);
     }
 
     #[test]

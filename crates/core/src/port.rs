@@ -9,7 +9,7 @@ use ssq_types::{InputId, OutputId, TrafficClass};
 use crate::packet::Packet;
 
 /// A flit-accounted FIFO of packets.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ClassQueue {
     capacity_flits: u64,
     used_flits: u64,
@@ -57,6 +57,15 @@ impl ClassQueue {
             None
         }
     }
+
+    /// Transmits `k` flits of the head packet that leave it unfinished,
+    /// freeing their buffer slots.
+    fn advance_head_flits(&mut self, k: u64) {
+        self.used_flits = self.used_flits.saturating_sub(k);
+        if let Some(head) = self.packets.front_mut() {
+            head.advance_flits(k);
+        }
+    }
 }
 
 /// One input port of the switch with its per-class buffering:
@@ -87,7 +96,7 @@ impl ClassQueue {
 ///     .head(TrafficClass::GuaranteedBandwidth, OutputId::new(2))
 ///     .is_some());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputPort {
     input: InputId,
     /// One shared FIFO (length 1) or per-output virtual queues (length
@@ -240,6 +249,23 @@ impl InputPort {
         let done = self.queue_mut(class, output).transmit_head_flit();
         self.refresh_bit(class, output);
         done
+    }
+
+    /// Transmits `k` flits of the committed head packet that leave it
+    /// unfinished: the same state as `k` calls of
+    /// [`InputPort::transmit_head_flit`] that each return `None`. The
+    /// head stays put, so the request words do not change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` flits would complete the head packet.
+    pub fn advance_flits(&mut self, class: TrafficClass, output: OutputId, k: u64) {
+        debug_assert!(
+            self.head(class, output).is_some(),
+            "no {class} head for {output} at {}",
+            self.input
+        );
+        self.queue_mut(class, output).advance_head_flits(k);
     }
 
     /// The per-output request word of `class`: bit `o` set iff
@@ -436,6 +462,27 @@ mod tests {
             p.occupancy(TrafficClass::GuaranteedLatency, OutputId::new(0)),
             0
         );
+    }
+
+    #[test]
+    fn advance_flits_equals_single_flit_transmissions() {
+        for class in TrafficClass::ALL {
+            // Up to 2 of the head packet's 3 flits; a second packet
+            // waits behind it.
+            for k in 0..3 {
+                let mut batched = port();
+                assert!(batched.try_enqueue(make(0, class, 2, 3)));
+                assert!(batched.try_enqueue(make(1, class, 2, 1)));
+                let mut stepped = batched.clone();
+                batched.advance_flits(class, OutputId::new(2), k);
+                for _ in 0..k {
+                    assert!(stepped
+                        .transmit_head_flit(class, OutputId::new(2))
+                        .is_none());
+                }
+                assert_eq!(batched, stepped, "{class} k = {k}");
+            }
+        }
     }
 
     #[test]

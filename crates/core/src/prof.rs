@@ -87,6 +87,13 @@ impl CycleProf {
         self.inner.record_counts(visits, settles);
     }
 
+    /// Counts one skip probe that skipped `skipped` cycles (0 for a
+    /// miss), `transmitting` when a channel was busy at the probe.
+    #[inline]
+    pub fn record_skip(&mut self, skipped: u64, transmitting: bool) {
+        self.inner.record_skip(skipped, transmitting);
+    }
+
     /// Snapshots the accumulated totals.
     #[must_use]
     pub fn report(&self) -> Option<ProfReport> {
@@ -159,6 +166,10 @@ impl CycleProf {
     /// No-op (stub).
     #[inline(always)]
     pub fn record_counts(&mut self, _visits: u64, _settles: u64) {}
+
+    /// No-op (stub).
+    #[inline(always)]
+    pub fn record_skip(&mut self, _skipped: u64, _transmitting: bool) {}
 
     /// Always `None`: an unprofiled build has no data, which callers
     /// surface as a rebuild hint.

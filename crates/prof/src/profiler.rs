@@ -89,6 +89,9 @@ pub struct Profiler {
     outputs: Vec<Acc>,
     visits: u64,
     settles: u64,
+    skip_probes: u64,
+    skip_hits: u64,
+    skipped_transmitting: u64,
 }
 
 impl Profiler {
@@ -107,6 +110,9 @@ impl Profiler {
             outputs: Vec::new(),
             visits: 0,
             settles: 0,
+            skip_probes: 0,
+            skip_hits: 0,
+            skipped_transmitting: 0,
         }
     }
 
@@ -149,6 +155,9 @@ impl Profiler {
         self.outputs.fill(Acc::default());
         self.visits = 0;
         self.settles = 0;
+        self.skip_probes = 0;
+        self.skip_hits = 0;
+        self.skipped_transmitting = 0;
     }
 
     /// Whether the profiler is currently armed.
@@ -212,6 +221,23 @@ impl Profiler {
         self.settles = self.settles.saturating_add(settles);
     }
 
+    /// Counts one idle-skip probe while armed: a hit when it skipped
+    /// `skipped > 0` cycles, and those cycles count as skipped while
+    /// transmitting when a channel was busy at the probe.
+    #[inline]
+    pub fn record_skip(&mut self, skipped: u64, transmitting: bool) {
+        if !self.armed {
+            return;
+        }
+        self.skip_probes = self.skip_probes.saturating_add(1);
+        if skipped > 0 {
+            self.skip_hits = self.skip_hits.saturating_add(1);
+            if transmitting {
+                self.skipped_transmitting = self.skipped_transmitting.saturating_add(skipped);
+            }
+        }
+    }
+
     /// Cycles seen while armed.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -232,6 +258,9 @@ impl Profiler {
             sampled_cycles: self.sampled,
             output_visits: self.visits,
             clock_settles: self.settles,
+            skip_probes: self.skip_probes,
+            skip_hits: self.skip_hits,
+            skipped_transmitting: self.skipped_transmitting,
             phases: self
                 .names
                 .iter()
@@ -293,6 +322,12 @@ pub struct ProfReport {
     pub output_visits: u64,
     /// Clock settles the sampled cycles ran.
     pub clock_settles: u64,
+    /// Idle-skip probes made while armed.
+    pub skip_probes: u64,
+    /// Probes that skipped at least one cycle.
+    pub skip_hits: u64,
+    /// Cycles skipped while at least one channel was transmitting.
+    pub skipped_transmitting: u64,
 }
 
 impl ProfReport {
@@ -410,6 +445,12 @@ impl ProfReport {
                 "outputs visited per cycle: {visits:.2}; clock settles per cycle: {settles:.4}\n"
             ));
         }
+        if self.skip_probes > 0 {
+            out.push_str(&format!(
+                "skip probes: {}; hits: {}; cycles skipped while transmitting: {}\n",
+                self.skip_probes, self.skip_hits, self.skipped_transmitting
+            ));
+        }
         out.push_str(&self.phase_table().to_text());
         if !self.outputs.is_empty() {
             out.push_str(&self.output_table().to_text());
@@ -438,6 +479,27 @@ mod tests {
         assert!(r.render_text().contains("outputs visited per cycle: 1.50"));
         p.reset();
         assert_eq!(p.report().output_visits, 0);
+    }
+
+    #[test]
+    fn skip_probes_count_hits_and_transmitting_cycles() {
+        let mut p = Profiler::kernel();
+        p.record_skip(9, true);
+        assert_eq!(p.report().skip_probes, 0, "disarmed probes are not counted");
+        p.arm(1);
+        p.record_skip(0, true);
+        p.record_skip(5, false);
+        p.record_skip(7, true);
+        let r = p.report();
+        assert_eq!(
+            (r.skip_probes, r.skip_hits, r.skipped_transmitting),
+            (3, 2, 7)
+        );
+        assert!(r
+            .render_text()
+            .contains("skip probes: 3; hits: 2; cycles skipped while transmitting: 7"));
+        p.reset();
+        assert_eq!(p.report().skip_hits, 0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl FlowMetrics {
 
     /// Starts the measurement window at `now`, clearing all recorded data.
     pub fn start_window(&mut self, now: Cycle) {
-        self.latency = Histogram::new(LATENCY_BIN_WIDTH, LATENCY_BINS);
+        self.latency.clear();
         self.latency_stats = RunningStats::new();
         self.throughput.start(now);
         self.packets = 0;

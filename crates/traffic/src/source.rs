@@ -30,7 +30,15 @@ pub trait TrafficSource {
     /// The contract backing the idle skip: if `next_arrival(now)` is
     /// `Some(t)` with `t > now`, then for every cycle `c` in `now..t`,
     /// `poll(c)` returns `None` *and* leaves the source in a state
-    /// identical to not having been polled at all.
+    /// identical to not having been polled at all, and
+    /// `next_arrival(c)` is `Some(t)` too.
+    ///
+    /// Predictability is a fixed property of a source: one that answers
+    /// `None` once answers `None` forever, and one that answers `Some`
+    /// always does. [`Injector::poll_due`](crate::Injector::poll_due)
+    /// relies on it — it asks after an empty poll, books a `Some` answer
+    /// as the next cycle to poll, and polls a source that answered
+    /// `None` every cycle without asking again.
     fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
         let _ = now;
         None
@@ -132,11 +140,20 @@ impl TrafficSource for Periodic {
         Some(self.len_flits as f64 / self.interval as f64)
     }
 
+    //
+    // `interval > 0` is asserted in `new`, and both `phase` and `rem` are
+    // residues below it, so the modulo cannot divide by zero and neither
+    // difference wraps.
+    // ssq-lint: allow(panic-freedom-reachability)
     fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
         // The smallest t >= now with t % interval == phase. Pure: `poll`
         // keeps no state, so skipped cycles are exactly no-ops.
         let rem = now.value() % self.interval;
-        let wait = (self.phase + self.interval - rem) % self.interval;
+        let wait = if rem <= self.phase {
+            self.phase - rem
+        } else {
+            self.interval - (rem - self.phase)
+        };
         Some(Cycle::new(now.value().saturating_add(wait)))
     }
 }

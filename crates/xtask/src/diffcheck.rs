@@ -42,6 +42,7 @@ fn scenarios() -> Vec<(&'static str, fn() -> QosSwitch)> {
         ("ssvc-halve-gb-be-mix", ssvc_halve_gb_be_mix),
         ("ssvc-reset-three-class", ssvc_reset_three_class),
         ("four-level-contended", four_level_contended),
+        ("ssvc-long-periodic-chained", ssvc_long_periodic_chained),
     ]
 }
 
@@ -185,6 +186,54 @@ fn four_level_contended() -> QosSwitch {
                 Box::new(Bernoulli::new(0.5, 4, 700 + i as u64)),
                 Box::new(UniformDest::new(8, 800 + i as u64)),
                 TrafficClass::BestEffort,
+            )
+            .for_input(InputId::new(i)),
+        );
+    }
+    switch
+}
+
+/// Sparse periodic packets of 24 to 120 flits with packet chaining and
+/// a GL heartbeat: most cycles only move flits, so the idle-skipping
+/// runner skips through transmissions here.
+fn ssvc_long_periodic_chained() -> QosSwitch {
+    let mut config = SwitchConfig::builder(Geometry::new(RADIX, 128).expect("valid geometry"))
+        .policy(Policy::Ssvc(CounterPolicy::SubtractRealClock))
+        .gb_buffer_flits(256)
+        .be_buffer_flits(128)
+        .sig_bits(3)
+        .packet_chaining(true)
+        .build()
+        .expect("valid config");
+    for (i, len) in [(0, 120), (1, 24)] {
+        config
+            .reservations_mut()
+            .reserve_gb(
+                InputId::new(i),
+                OutputId::new(0),
+                Rate::new(0.3).expect("valid rate"),
+                len,
+            )
+            .expect("reservation fits");
+    }
+    config
+        .reservations_mut()
+        .reserve_gl(OutputId::new(0), Rate::new(0.05).expect("valid rate"))
+        .expect("GL reservation fits");
+    let mut switch = QosSwitch::new(config).expect("valid");
+    let sources: [(usize, u64, u64, u64, TrafficClass); 5] = [
+        (0, 600, 0, 120, TrafficClass::GuaranteedBandwidth),
+        (0, 600, 1, 120, TrafficClass::GuaranteedBandwidth),
+        (1, 150, 70, 24, TrafficClass::GuaranteedBandwidth),
+        (5, 211, 9, 1, TrafficClass::GuaranteedLatency),
+        (6, 400, 33, 60, TrafficClass::BestEffort),
+    ];
+    for (i, interval, phase, len, class) in sources {
+        switch.add_injector(
+            Injector::new(
+                Box::new(Periodic::new(interval, phase, len)),
+                Box::new(FixedDest::new(OutputId::new(0))),
+                class,
             )
             .for_input(InputId::new(i)),
         );

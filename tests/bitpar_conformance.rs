@@ -12,12 +12,18 @@
 //!   most cycles at low load.
 //! * A negative control: unpredictable (Bernoulli) sources must never
 //!   allow a skip, degrading the runner to the dense fast path.
+//! * A seeded dense-vs-skipping fuzz over periodic and trace sources
+//!   with packets of 1–200 flits, which must skip cycles while channels
+//!   are transmitting — the skip-through-transmission rule at work.
 
 use swizzle_qos::arbiter::CounterPolicy;
 use swizzle_qos::core::{Policy, QosSwitch, SwitchConfig};
 use swizzle_qos::sim::{BitparRunner, CycleModel, EventModel, Runner, Schedule};
 use swizzle_qos::trace::{Event, RingSink};
-use swizzle_qos::traffic::{Bernoulli, FixedDest, Injector, Periodic, Saturating, UniformDest};
+use swizzle_qos::traffic::{
+    Bernoulli, DestinationPattern, FixedDest, Injector, Periodic, Saturating, Trace, TrafficSource,
+    UniformDest,
+};
 use swizzle_qos::types::{
     Cycle, Cycles, FlowId, Geometry, InputId, OutputId, Rate, TrafficClass, Xoshiro256StarStar,
 };
@@ -227,6 +233,19 @@ struct Counting<'a> {
     inner: &'a mut QosSwitch,
     stepped: u64,
     skipped: u64,
+    /// Cycles skipped while some output channel was not idle.
+    skipped_transmitting: u64,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a mut QosSwitch) -> Self {
+        Counting {
+            inner,
+            stepped: 0,
+            skipped: 0,
+            skipped_transmitting: 0,
+        }
+    }
 }
 
 impl CycleModel for Counting<'_> {
@@ -244,9 +263,14 @@ impl EventModel for Counting<'_> {
         self.inner.step_fast(now);
     }
     fn skip_idle(&mut self, now: Cycle, limit: Cycle) -> Cycle {
+        let radix = self.inner.config().geometry().radix();
+        let transmitting = (0..radix).any(|o| !self.inner.channel(OutputId::new(o)).is_idle());
         let target = self.inner.skip_idle(now, limit);
         if target > now {
             self.skipped += target.value() - now.value();
+            if transmitting {
+                self.skipped_transmitting += target.value() - now.value();
+            }
         }
         target
     }
@@ -307,11 +331,7 @@ fn idle_skipping_is_byte_identical_to_dense_stepping() {
 
     let mut skipping = periodic_switch();
     skipping.tracer_mut().attach_ring(1 << 16);
-    let mut counted = Counting {
-        inner: &mut skipping,
-        stepped: 0,
-        skipped: 0,
-    };
+    let mut counted = Counting::new(&mut skipping);
     let end = BitparRunner::new(idle_schedule()).run(&mut counted);
     assert_eq!(end, Cycle::new(20_500));
     assert_eq!(
@@ -365,13 +385,132 @@ fn unpredictable_sources_disable_skipping() {
     Runner::new(schedule).run(&mut dense);
 
     let mut fast = build();
-    let mut counted = Counting {
-        inner: &mut fast,
-        stepped: 0,
-        skipped: 0,
-    };
+    let mut counted = Counting::new(&mut fast);
     BitparRunner::new(schedule).run(&mut counted);
     assert_eq!(counted.skipped, 0, "Bernoulli runs must stay dense");
     assert_eq!(counted.stepped, 4_100);
     assert_observables_match(&dense, &fast, "bernoulli dense vs fast");
+}
+
+/// One seeded switch for the transmission-skip fuzz: radix 2–64, SSVC
+/// with GL or the 4-level design, chaining on or off, and periodic and
+/// trace sources with random phases and packets of 1–200 flits.
+fn build_long_packet_fuzz(seed: u64) -> (QosSwitch, usize) {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let radix = 2 + rng.index(63); // 2..=64
+    let policy = match rng.index(3) {
+        0 => Policy::Ssvc(CounterPolicy::SubtractRealClock),
+        1 => Policy::Ssvc(CounterPolicy::Halve),
+        _ => Policy::FourLevel,
+    };
+    let geometry = Geometry::new(radix, radix * 8).expect("valid geometry");
+    let mut config = SwitchConfig::builder(geometry)
+        .policy(policy)
+        .gb_buffer_flits(256)
+        .be_buffer_flits(256)
+        .gl_buffer_flits(32)
+        .packet_chaining(rng.chance(0.5))
+        .sig_bits(3)
+        .build()
+        .expect("valid config");
+    let flows = 1 + rng.index(radix.min(12));
+    let mut specs = Vec::new();
+    let mut reserved = vec![0.0; radix];
+    let mut gl_outputs = Vec::new();
+    for _ in 0..flows {
+        let input = rng.index(radix);
+        let output = rng.index(radix);
+        let class = match rng.index(4) {
+            0 => TrafficClass::GuaranteedLatency,
+            1 => TrafficClass::BestEffort,
+            _ => TrafficClass::GuaranteedBandwidth,
+        };
+        let len = if class == TrafficClass::GuaranteedLatency {
+            1 + rng.below(16)
+        } else {
+            1 + rng.below(200)
+        };
+        if class == TrafficClass::GuaranteedBandwidth && reserved[output] < 0.6 {
+            config
+                .reservations_mut()
+                .reserve_gb(
+                    InputId::new(input),
+                    OutputId::new(output),
+                    Rate::new(0.3).expect("valid rate"),
+                    len,
+                )
+                .expect("reservation fits");
+            reserved[output] += 0.3;
+        }
+        if class == TrafficClass::GuaranteedLatency && !gl_outputs.contains(&output) {
+            config
+                .reservations_mut()
+                .reserve_gl(OutputId::new(output), Rate::new(0.05).expect("valid rate"))
+                .expect("GL reservation fits");
+            gl_outputs.push(output);
+        }
+        specs.push((input, output, class, len));
+    }
+    let mut switch = QosSwitch::new(config).expect("valid switch");
+    for (input, output, class, len) in specs {
+        let source: Box<dyn TrafficSource + Send + Sync> = if rng.chance(0.6) {
+            let interval = len + rng.range(1, 1_500);
+            Box::new(Periodic::new(interval, rng.below(interval), len))
+        } else {
+            // A burst or two of back-to-back arrivals at random cycles.
+            let mut events = Vec::new();
+            let mut at = rng.below(400);
+            for _ in 0..1 + rng.index(8) {
+                events.push((at, len));
+                at += 1 + if rng.chance(0.5) { 0 } else { rng.below(900) };
+            }
+            Box::new(Trace::new(events))
+        };
+        let dest: Box<dyn DestinationPattern + Send + Sync> = if rng.chance(0.7) {
+            Box::new(FixedDest::new(OutputId::new(output)))
+        } else {
+            Box::new(UniformDest::new(radix, rng.next_u64()))
+        };
+        switch.add_injector(Injector::new(source, dest, class).for_input(InputId::new(input)));
+    }
+    (switch, radix)
+}
+
+/// Dense stepping and the idle-skipping runner agree on every seeded
+/// long-packet scenario, and the skipping runs really skip cycles while
+/// channels transmit — otherwise the differential would prove nothing
+/// about the transmission skip.
+#[test]
+fn fuzzed_long_packets_skip_through_transmissions() {
+    const TRIALS: u64 = 32;
+    let schedule = Schedule::new(Cycles::new(150), Cycles::new(3_000));
+    let mut skipping_trials = 0;
+    for trial in 0..TRIALS {
+        let seed = 0x10_C0DE ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (mut dense, radix) = build_long_packet_fuzz(seed);
+        let (mut fast, _) = build_long_packet_fuzz(seed);
+        dense.tracer_mut().attach_ring(1 << 15);
+        fast.tracer_mut().attach_ring(1 << 15);
+        Runner::new(schedule).run(&mut dense);
+        let mut counted = Counting::new(&mut fast);
+        BitparRunner::new(schedule).run(&mut counted);
+        assert_eq!(counted.stepped + counted.skipped, 3_150);
+        if counted.skipped_transmitting > 0 {
+            skipping_trials += 1;
+        }
+        let tag = format!("trial {trial} (radix {radix})");
+        assert_observables_match(&dense, &fast, &tag);
+        for o in 0..radix {
+            let o = OutputId::new(o);
+            assert_eq!(dense.channel(o), fast.channel(o), "{tag}: channel {o}");
+        }
+        for i in 0..radix {
+            let i = InputId::new(i);
+            assert_eq!(dense.port(i), fast.port(i), "{tag}: port {i}");
+        }
+    }
+    assert!(
+        skipping_trials * 10 >= TRIALS * 9,
+        "only {skipping_trials} of {TRIALS} trials skipped cycles while transmitting"
+    );
 }
