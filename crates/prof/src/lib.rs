@@ -41,4 +41,5 @@ pub use profiler::{
 };
 pub use trajectory::{
     find_benches, trajectory_table, BenchCell, BenchDoc, BenchEngine, BenchPhase, DiffReport,
+    QuickRecord,
 };

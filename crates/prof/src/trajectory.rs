@@ -95,6 +95,22 @@ pub struct BenchDoc {
     pub measure_cycles: u64,
     /// The benchmark matrix.
     pub cells: Vec<BenchCell>,
+    /// The `--quick` probe's cells, measured alongside the full matrix
+    /// (`None` in records that predate it and in quick probes).
+    pub quick_record: Option<QuickRecord>,
+}
+
+/// The quick-schedule cells a full capture records beside its matrix:
+/// the baseline a `--quick` probe is diffed against, so the probe
+/// compares like with like.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuickRecord {
+    /// Warm-up cycles per quick cell.
+    pub warmup_cycles: u64,
+    /// Measured cycles per quick cell.
+    pub measure_cycles: u64,
+    /// The quick matrix.
+    pub cells: Vec<BenchCell>,
 }
 
 impl BenchDoc {
@@ -128,6 +144,21 @@ impl BenchDoc {
         None
     }
 
+    /// The recorded quick cells as a quick capture of their own (same
+    /// PR, profile and host), if this record has them.
+    #[must_use]
+    pub fn quick_baseline(&self) -> Option<BenchDoc> {
+        let quick = self.quick_record.as_ref()?;
+        Some(BenchDoc {
+            quick: true,
+            warmup_cycles: quick.warmup_cycles,
+            measure_cycles: quick.measure_cycles,
+            cells: quick.cells.clone(),
+            quick_record: None,
+            ..self.clone()
+        })
+    }
+
     /// Finds a cell by (radix, load).
     #[must_use]
     pub fn cell(&self, radix: u64, load: &str) -> Option<&BenchCell> {
@@ -148,14 +179,15 @@ impl BenchDoc {
             return Err(format!("unsupported BENCH schema {schema}"));
         }
         let host = root.get("host").ok_or("missing host object")?;
-        let mut cells = Vec::new();
-        for cell in root
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing cells array")?
-        {
-            cells.push(parse_cell(cell)?);
-        }
+        let cells = parse_cells(&root)?;
+        let quick_record = match root.get("quick_record") {
+            None => None,
+            Some(quick) => Some(QuickRecord {
+                warmup_cycles: field_u64(quick, "warmup_cycles")?,
+                measure_cycles: field_u64(quick, "measure_cycles")?,
+                cells: parse_cells(quick)?,
+            }),
+        };
         Ok(BenchDoc {
             schema,
             pr: field_u64(&root, "pr")?,
@@ -171,6 +203,7 @@ impl BenchDoc {
             warmup_cycles: field_u64(&root, "warmup_cycles")?,
             measure_cycles: field_u64(&root, "measure_cycles")?,
             cells,
+            quick_record,
         })
     }
 
@@ -195,12 +228,34 @@ impl BenchDoc {
             "  \"warmup_cycles\": {},\n  \"measure_cycles\": {},\n  \"cells\": [",
             self.warmup_cycles, self.measure_cycles
         ));
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&render_cell(cell));
+        render_cells(&mut out, &self.cells);
+        out.push_str("\n  ]");
+        if let Some(quick) = &self.quick_record {
+            out.push_str(&format!(
+                ",\n  \"quick_record\": {{\"warmup_cycles\": {}, \"measure_cycles\": {}, \"cells\": [",
+                quick.warmup_cycles, quick.measure_cycles
+            ));
+            render_cells(&mut out, &quick.cells);
+            out.push_str("\n  ]}");
         }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n}\n");
         out
+    }
+}
+
+fn parse_cells(v: &Json) -> Result<Vec<BenchCell>, String> {
+    v.get("cells")
+        .and_then(Json::as_arr)
+        .ok_or("missing cells array")?
+        .iter()
+        .map(parse_cell)
+        .collect()
+}
+
+fn render_cells(out: &mut String, cells: &[BenchCell]) {
+    for (i, cell) in cells.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&render_cell(cell));
     }
 }
 
@@ -463,6 +518,7 @@ mod tests {
                     },
                 ],
             }],
+            quick_record: None,
         }
     }
 
@@ -474,6 +530,36 @@ mod tests {
         assert_eq!(parsed, original);
         // Byte-stable: rendering the parsed document reproduces the text.
         assert_eq!(parsed.render(), text);
+    }
+
+    #[test]
+    fn quick_record_round_trips_and_serves_as_the_quick_baseline() {
+        let mut full = doc(14, 75_000.0, 71_000.0);
+        assert_eq!(full.quick_baseline(), None, "no quick cells recorded");
+        let quick_cells = doc(0, 30_000.0, 20_000.0).cells;
+        full.quick_record = Some(QuickRecord {
+            warmup_cycles: 100,
+            measure_cycles: 400,
+            cells: quick_cells.clone(),
+        });
+        let text = full.render();
+        let parsed = BenchDoc::parse(&text).expect("round trip parses");
+        assert_eq!(parsed, full);
+        assert_eq!(parsed.render(), text);
+
+        let baseline = parsed.quick_baseline().expect("quick cells recorded");
+        assert!(baseline.quick);
+        assert_eq!(baseline.cells, quick_cells);
+        assert_eq!(
+            (baseline.warmup_cycles, baseline.measure_cycles),
+            (100, 400)
+        );
+        // A probe at the quick rates passes against the quick cells,
+        // though it would read as a regression against the full matrix.
+        let mut probe = doc(0, 30_000.0, 20_000.0);
+        probe.quick = true;
+        assert!(diff(&baseline, &probe, 0.9).passed());
+        assert!(!diff(&parsed, &probe, 0.9).passed());
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //!   skipped, not failed.
 //! * `--quick` shrinks the matrix (radix 16, fewer cycles) for the
 //!   `scripts/check.sh` regression gate. A quick probe is not a
-//!   trajectory record: it takes no PR slot and refuses `--json`.
+//!   trajectory record: it takes no PR slot and refuses `--json`. Its
+//!   `--diff` compares quick against quick: every full capture also
+//!   measures the quick cells (medians of the same repetitions) and
+//!   records them in the document's `quick_record`, and the probe
+//!   diffs against the newest record that has one.
 //! * `--pr N` overrides the trajectory slot (default: one past the
 //!   newest existing document).
 //! * `--outputs` additionally prints the per-output arbitrate
@@ -34,7 +38,7 @@ use std::time::Instant;
 use ssq_arbiter::CounterPolicy;
 use ssq_core::{Policy, QosSwitch, SwitchConfig};
 use ssq_net::{Fabric, FlowSpec, LinkDiscipline, Topology};
-use ssq_prof::{trajectory, BenchCell, BenchDoc, BenchEngine, BenchPhase, ProfReport};
+use ssq_prof::{trajectory, BenchCell, BenchDoc, BenchEngine, BenchPhase, ProfReport, QuickRecord};
 use ssq_sim::{BitparRunner, Runner, Schedule};
 use ssq_traffic::{Bernoulli, Injector, Periodic, Saturating, TrafficSource, UniformDest};
 use ssq_types::{Cycles, Geometry, InputId, OutputId, Rate, TrafficClass};
@@ -306,6 +310,23 @@ fn rustc_version() -> Option<String> {
     out.status.success().then(|| text.trim().to_string())
 }
 
+/// Measures and prints the runner × load matrix at each radix, plus the
+/// fabric cell.
+fn measure_matrix(radices: &[usize], schedule: Schedule, outputs: bool) -> Vec<BenchCell> {
+    let mut cells = Vec::new();
+    for &radix in radices {
+        for load in [Load::Bernoulli50, Load::Saturated, Load::Periodic5] {
+            let (cell, kernel) = measure_cell(radix, load, schedule);
+            print_cell(&cell, Some(&kernel), outputs);
+            cells.push(cell);
+        }
+    }
+    let fabric_cell = measure_fabric_cell(schedule);
+    print_cell(&fabric_cell, None, outputs);
+    cells.push(fabric_cell);
+    cells
+}
+
 /// Entry point for
 /// `cargo xtask bench [--json] [--diff] [--quick] [--threshold R] [--pr N] [--outputs]`.
 pub fn run(args: &[String], root: &Path) -> ExitCode {
@@ -389,17 +410,24 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         host_rustc.as_deref().unwrap_or("unknown rustc")
     );
 
-    let mut cells = Vec::new();
-    for &radix in radices {
-        for load in [Load::Bernoulli50, Load::Saturated, Load::Periodic5] {
-            let (cell, kernel) = measure_cell(radix, load, schedule);
-            print_cell(&cell, Some(&kernel), outputs);
-            cells.push(cell);
+    let cells = measure_matrix(radices, schedule, outputs);
+    // A full capture also records the quick probe's cells, so a later
+    // `--quick --diff` compares like with like.
+    let quick_record = (!quick).then(|| {
+        println!(
+            "-- quick cells ({} cycles/cell) --",
+            QUICK_WARMUP + QUICK_MEASURE
+        );
+        QuickRecord {
+            warmup_cycles: QUICK_WARMUP,
+            measure_cycles: QUICK_MEASURE,
+            cells: measure_matrix(
+                QUICK_RADICES,
+                Schedule::new(Cycles::new(QUICK_WARMUP), Cycles::new(QUICK_MEASURE)),
+                outputs,
+            ),
         }
-    }
-    let fabric_cell = measure_fabric_cell(schedule);
-    print_cell(&fabric_cell, None, outputs);
-    cells.push(fabric_cell);
+    });
 
     let doc = BenchDoc {
         schema: trajectory::CURRENT_SCHEMA,
@@ -412,45 +440,61 @@ pub fn run(args: &[String], root: &Path) -> ExitCode {
         warmup_cycles: warmup,
         measure_cycles: measure,
         cells,
+        quick_record,
     };
 
     let mut failed = false;
     if diff {
         // The baseline is the newest document strictly older than the
         // slot being (re)measured, so regenerating BENCH_<pr> still
-        // diffs against its predecessor.
-        let baseline = existing.iter().rev().find(|(n, _)| quick || *n < pr);
-        match baseline {
-            None => println!("bench diff: no prior BENCH_*.json to compare against"),
-            Some((n, path)) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
+        // diffs against its predecessor; a quick probe takes the quick
+        // cells of the newest document that recorded them.
+        let mut baseline = None;
+        for (n, path) in existing.iter().rev().filter(|(n, _)| quick || *n < pr) {
+            let prev = match std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| BenchDoc::parse(&text))
+            {
+                Ok(prev) => prev,
                 Err(err) => {
-                    eprintln!("cannot read {}: {err}", path.display());
+                    eprintln!("cannot load {}: {err}", path.display());
                     return ExitCode::FAILURE;
                 }
-                Ok(text) => match BenchDoc::parse(&text) {
-                    Err(err) => {
-                        eprintln!("cannot parse {}: {err}", path.display());
-                        return ExitCode::FAILURE;
+            };
+            let prev = if quick {
+                prev.quick_baseline()
+            } else {
+                Some(prev)
+            };
+            if let Some(prev) = prev {
+                baseline = Some((*n, prev));
+                break;
+            }
+        }
+        match baseline {
+            None if quick => eprintln!(
+                "bench diff: no BENCH_*.json records quick cells; record one with \
+                 `cargo run --release -p xtask -- bench --json`"
+            ),
+            None => println!("bench diff: no prior BENCH_*.json to compare against"),
+            Some((n, prev)) => {
+                let what = if quick { " quick cells" } else { "" };
+                println!("bench diff vs BENCH_{n}{what} (threshold {threshold:.2}x):");
+                let report = trajectory::diff(&prev, &doc, threshold);
+                if let Some(note) = &report.skipped {
+                    println!("bench diff: {note}");
+                    if note.contains("host mismatch") {
+                        eprintln!("bench diff REFUSED: {note}");
                     }
-                    Ok(prev) => {
-                        println!("bench diff vs BENCH_{n} (threshold {threshold:.2}x):");
-                        let report = trajectory::diff(&prev, &doc, threshold);
-                        if let Some(note) = &report.skipped {
-                            println!("bench diff: {note}");
-                            if note.contains("host mismatch") {
-                                eprintln!("bench diff REFUSED: {note}");
-                            }
-                        }
-                        for line in &report.lines {
-                            println!("  {line}");
-                        }
-                        for reg in &report.regressions {
-                            eprintln!("bench REGRESSION: {reg}");
-                        }
-                        failed = !report.passed();
-                    }
-                },
-            },
+                }
+                for line in &report.lines {
+                    println!("  {line}");
+                }
+                for reg in &report.regressions {
+                    eprintln!("bench REGRESSION: {reg}");
+                }
+                failed = !report.passed();
+            }
         }
     }
 
@@ -550,6 +594,7 @@ mod tests {
             warmup_cycles: 20,
             measure_cycles: 60,
             cells: vec![cell],
+            quick_record: None,
         };
         // Rendering quantizes floats, so live-measured values only
         // stabilize after one pass: render → parse → render must be

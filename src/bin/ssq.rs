@@ -1372,6 +1372,7 @@ mod tests {
                     delivered_flits: 42,
                 }],
             }],
+            quick_record: None,
         };
         std::fs::write(dir.join("BENCH_3.json"), doc.render()).unwrap();
         let dir_s = dir.to_str().unwrap().to_owned();
