@@ -95,8 +95,7 @@ impl Arbiter for FourLevel {
         requesters: PortSet,
         _len_of: &dyn Fn(usize) -> u64,
     ) -> Option<usize> {
-        let mut levels = [PortSet::EMPTY; NUM_LEVELS];
-        levels[0] = requesters;
+        let levels = [requesters, PortSet::EMPTY, PortSet::EMPTY, PortSet::EMPTY];
         self.arbitrate_levels(levels).map(|(winner, _)| winner)
     }
 }

@@ -67,8 +67,7 @@ impl Lrg {
         let mut rows = vec![0u64; n * stride];
         for i in 0..n {
             for j in (i + 1)..n {
-                // ssq-lint: allow(mask-width-safety) — `j % 64` is < 64 by construction, so the shift stays inside the word
-                rows[i * stride + j / 64] |= 1u64 << (j % 64);
+                rows[i * stride + j / 64] |= PortSet::single(j % 64).bits();
             }
         }
         Lrg { n, stride, rows }
@@ -90,8 +89,7 @@ impl Lrg {
             i < self.n && j < self.n && i != j,
             "invalid pair ({i}, {j})"
         );
-        // ssq-lint: allow(mask-width-safety) — `j % 64` is < 64 by construction, so the shift stays inside the word
-        self.rows[i * self.stride + j / 64] & (1u64 << (j % 64)) != 0
+        PortSet::from_bits(self.rows[i * self.stride + j / 64]).contains(j % 64)
     }
 
     /// Selects the highest-priority member of `candidates` *without*
@@ -131,9 +129,9 @@ impl Lrg {
     //
     // The asserts ARE the documented contract (one-word radix, in-range
     // candidates); `rows[i]` indexes a one-word-per-row matrix with
-    // `i < n` (a candidate bit below the radix); the only arithmetic
-    // is the waived shifts and the lowest-set-bit clear on a nonzero
-    // word; `unreachable!` is the strict-total-order argument.
+    // `i < n` (a candidate bit below the radix); every word shift goes
+    // through `PortSet`; `unreachable!` is the strict-total-order
+    // argument.
     // ssq-lint: allow(panic-freedom-reachability)
     pub fn peek_mask(&self, candidates: u64) -> Option<usize> {
         assert!(
@@ -145,21 +143,15 @@ impl Lrg {
             return None;
         }
         assert!(
-            // ssq-lint: allow(mask-width-safety) — `self.n == 64 ||` short-circuits the one width the shift could reach, so the shift runs only with n < 64
-            self.n == 64 || candidates >> self.n == 0,
+            candidates & !PortSet::first_n(self.n).bits() == 0,
             "candidate bits above radix {}",
             self.n
         );
-        let mut rest = candidates;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            // ssq-lint: allow(mask-width-safety) — `i` = trailing_zeros of a nonzero u64, hence < 64
-            let rivals = candidates & !(1u64 << i);
+        for i in PortSet::from_bits(candidates) {
+            let rivals = candidates & !PortSet::single(i).bits();
             if self.rows[i] & rivals == rivals {
                 return Some(i);
             }
-            // ssq-lint: allow(mask-width-safety) — lowest-set-bit clear on a checked-nonzero word
-            rest &= rest - 1;
         }
         // A strict total order always has a maximum.
         unreachable!("no row contained all rivals: matrix not a total order")
@@ -185,8 +177,7 @@ impl Lrg {
             *w = 0;
         }
         let word = winner / 64;
-        // ssq-lint: allow(mask-width-safety) — `winner % 64` is < 64 by construction, so the shift stays inside the word
-        let bit = 1u64 << (winner % 64);
+        let bit = PortSet::single(winner % 64).bits();
         for other in 0..self.n {
             if other != winner {
                 self.rows[other * stride + word] |= bit;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ssq_types::{Cycle, PortSet};
+use ssq_types::{BitIndex, Cycle, PortSet};
 
 use crate::{Arbiter, Lrg};
 
@@ -58,6 +58,14 @@ pub struct SsvcConfig {
     counter_bits: u32,
     sig_bits: u32,
     policy: CounterPolicy,
+    /// Width of the low (sub-lane) counter bits: `counter_bits − sig_bits`.
+    lsb: BitIndex,
+    /// `2^sig_bits`.
+    num_lanes: usize,
+    /// `2^counter_bits − 1`.
+    saturation_cap: u64,
+    /// `2^lsb_bits`.
+    msb_step: u64,
 }
 
 impl SsvcConfig {
@@ -70,16 +78,24 @@ impl SsvcConfig {
     /// configurations are 12-bit counters with 3 significant bits (Fig. 1)
     /// and 11-bit counters ("3+8 bits", Table 1); Fig. 4 uses 4
     /// significant bits.
+    ///
+    /// Every width the arbiter shifts by is derived here, once, under
+    /// that check.
     #[must_use]
     pub fn new(counter_bits: u32, sig_bits: u32, policy: CounterPolicy) -> Self {
         assert!(
             sig_bits > 0 && sig_bits < counter_bits && counter_bits <= 32,
             "need 0 < sig_bits ({sig_bits}) < counter_bits ({counter_bits}) <= 32"
         );
+        let lsb = BitIndex::new(counter_bits - sig_bits);
         SsvcConfig {
             counter_bits,
             sig_bits,
             policy,
+            lsb,
+            num_lanes: BitIndex::new(sig_bits).bit() as usize,
+            saturation_cap: BitIndex::new(counter_bits - 1).through(),
+            msb_step: lsb.bit(),
         }
     }
 
@@ -104,28 +120,28 @@ impl SsvcConfig {
     /// Width of the low (sub-lane) portion of the counter.
     #[must_use]
     pub const fn lsb_bits(self) -> u32 {
-        self.counter_bits - self.sig_bits
+        self.lsb.get()
     }
 
     /// Number of GB arbitration lanes the thermometer code addresses:
     /// `2^sig_bits`.
     #[must_use]
     pub const fn num_lanes(self) -> usize {
-        1usize << self.sig_bits
+        self.num_lanes
     }
 
     /// Maximum representable `auxVC` value, at which saturation-triggered
     /// policies fire.
     #[must_use]
     pub const fn saturation_cap(self) -> u64 {
-        (1u64 << self.counter_bits) - 1
+        self.saturation_cap
     }
 
     /// One MSB step: the amount subtracted from every counter when the
     /// real-time subcounter wraps.
     #[must_use]
     pub const fn msb_step(self) -> u64 {
-        1u64 << self.lsb_bits()
+        self.msb_step
     }
 }
 
@@ -301,7 +317,7 @@ impl SsvcArbiter {
     /// its sense wire sits in.
     #[must_use]
     pub fn msb_value(&self, input: usize) -> u64 {
-        self.aux[input] >> self.config.lsb_bits()
+        self.config.lsb.shr(self.aux[input])
     }
 
     /// The thermometer code of `input` as a bitmask: bit `j` is set iff
@@ -309,12 +325,8 @@ impl SsvcArbiter {
     /// most significant bits change" register of Fig. 2.
     #[must_use]
     pub fn thermometer_code(&self, input: usize) -> u64 {
-        let m = self.msb_value(input);
-        if m >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << (m + 1)) - 1
-        }
+        // Lanes at or past bit 63 saturate to the all-ones word.
+        BitIndex::checked(self.msb_value(input)).map_or(u64::MAX, BitIndex::through)
     }
 
     /// Read access to the replicated LRG state (shared with the circuit

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use ssq_types::{InputId, OutputId, TrafficClass};
+use ssq_types::{InputId, OutputId, PortSet, TrafficClass};
 
 use crate::packet::Packet;
 
@@ -289,8 +289,7 @@ impl InputPort {
 
     fn front_bit(q: &ClassQueue) -> u64 {
         match q.head() {
-            // ssq-lint: allow(mask-width-safety) — output index < radix <= 64 (asserted in `new`), so the shift stays inside the word
-            Some(p) => 1u64 << p.spec().flow().output().index(),
+            Some(p) => PortSet::single(p.spec().flow().output().index()).bits(),
             None => 0,
         }
     }
@@ -299,13 +298,11 @@ impl InputPort {
     /// mutation. Only the virtual-queue words carry state; the
     /// single-FIFO words are computed on demand.
     //
-    // `o < radix` is asserted in `new` and sizes both VOQ vectors; the
-    // shift is the waived one below.
+    // `o < radix` is asserted in `new` and sizes both VOQ vectors.
     // ssq-lint: allow(panic-freedom-reachability)
     fn refresh_bit(&mut self, class: TrafficClass, output: OutputId) {
         let o = output.index();
-        // ssq-lint: allow(mask-width-safety) — output index < radix <= 64 (asserted in `new`), so the shift stays inside the word
-        let bit = 1u64 << o;
+        let bit = PortSet::single(o).bits();
         match class {
             TrafficClass::GuaranteedBandwidth => {
                 if self.gb[o].head().is_some() {

@@ -1,8 +1,8 @@
 // Fixture: unchecked-hot-arith. Mounted at crates/core/src/kernel.rs —
 // the configured hot file — and reached from the `step` root in the
 // mask_width fixture. `unbounded_sum` adds two raw u64s and fires;
-// `bounded_diff` masks its operand so the interval domain proves the
-// add cannot overflow (discharged); `waived_mix` indexes an
+// `bounded_diff` masks its operand first, which no declared type
+// records, so its add fires as well; `waived_mix` indexes an
 // unknown-length slice but carries an in-source waiver. `cross_hop`
 // enters the arbiter crate through a module-qualified free-fn call —
 // the two-hop cross-crate reachability case.

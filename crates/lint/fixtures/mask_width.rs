@@ -1,10 +1,10 @@
 // Fixture: mask-width-safety. Mounted at crates/core/src/switch.rs so
 // `step` is the panic-freedom/mask-width root. `shift_unbounded` shifts
-// by a raw parameter (the shift-by-unbounded-variable case) and fires;
-// `shift_proven` bounds the amount with an assert and is discharged;
-// `shift_waived` carries an in-source waiver. `step` also calls into
-// the arbitration-pass fixture (`hot_decide`) and, through it, a second
-// crate — exercising the unified workspace graph.
+// by a raw parameter and fires; `shift_proven` bounds the amount with an
+// assert, which is no type, so it fires too; `shift_waived` carries an
+// in-source waiver. `step` also calls into the arbitration-pass fixture
+// (`hot_decide`) and, through it, a second crate — exercising the
+// unified workspace graph.
 
 pub struct MaskKernel;
 

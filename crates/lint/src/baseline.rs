@@ -101,10 +101,11 @@ pub fn render(diags: &[Diagnostic]) -> String {
          # Format: rule<TAB>file<TAB>fingerprint<TAB>excerpt (first 3 fields semantic)\n\
          #\n\
          # Shrink policy: this file may only lose entries over time. Remove an entry\n\
-         # when its site is (a) fixed at the source, (b) discharged by the dataflow\n\
-         # layer (the proof appears in the `discharged` section of `--json`), or\n\
-         # (c) waived in-source with an evidence comment. `scripts/check.sh` fails\n\
-         # any change that *grows* the entry count versus the committed copy.\n",
+         # when its site is (a) fixed at the source, (b) ruled out by a type (a\n\
+         # literal shift amount, float arithmetic, a `NonZero*` divisor, or a shift\n\
+         # through `PortSet`/`BitIndex`; see DESIGN.md §12), or (c) waived in-source\n\
+         # with an evidence comment. `scripts/check.sh` fails any change that\n\
+         # *grows* the entry count versus the committed copy.\n",
     );
     for l in lines {
         out.push_str(&l);

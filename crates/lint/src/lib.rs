@@ -17,19 +17,17 @@
 //!   direction for the reachability lints. The workspace
 //!   build adds module/crate aliases so cross-crate free-fn calls
 //!   resolve instead of dead-ending at the crate boundary.
-//! * [`dataflow`] — the abstract interpreter: joint interval +
-//!   known-bits domains widened at loop heads, workspace fact
-//!   harvesting (ctor-assert field invariants with revocation, method
-//!   summaries), and per-site safety proofs that *discharge* findings
-//!   with evidence.
 //! * [`rules`] — the eight ported textual rules plus the five semantic
 //!   lints (`panic-freedom-reachability`, `mask-width-safety`,
 //!   `unchecked-hot-arith`, `no-nondeterministic-order`,
-//!   `feature-gate-hygiene`).
+//!   `feature-gate-hygiene`), and the panic-capable site enumerator
+//!   ([`rules::sites`]) that exempts only what rustc or a declared type
+//!   guarantees: literal shift amounts, float arithmetic, and division
+//!   by a `NonZero*` name (DESIGN.md §12).
 //! * [`diag`] / [`baseline`] — severities, stable fingerprints, the
-//!   `--json` document (schema 2, findings plus discharge
-//!   certificates), and the checked-in baseline that keeps legacy
-//!   findings from blocking CI while new ones still fail it.
+//!   `--json` document (schema 3), and the checked-in baseline that
+//!   keeps legacy findings from blocking CI while new ones still fail
+//!   it.
 //! * [`registry`] — rule metadata and the engine driver
 //!   ([`registry::run_sources`] over in-memory files,
 //!   [`registry::load_workspace`] for the real tree).
@@ -44,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod dataflow;
 pub mod diag;
 pub mod graph;
 pub mod lexer;
@@ -54,7 +51,7 @@ pub mod rules;
 pub mod source;
 
 pub use baseline::{Baseline, BASELINE_FILE};
-pub use diag::{render_json, Diagnostic, Discharge, Severity};
+pub use diag::{render_json, Diagnostic, Severity};
 pub use registry::{
     load_workspace, rule_names, run_sources, EngineConfig, LintInfo, Report, LINTS,
 };

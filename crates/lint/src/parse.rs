@@ -53,6 +53,9 @@ pub struct FnItem {
     /// Whether it sits in a test-gated region (excluded from the call
     /// graph: test helpers must not widen hot-path reachability).
     pub is_test: bool,
+    /// Token-index range of the parameter list, exclusive of the
+    /// parentheses (the source of declared parameter types).
+    pub params: std::ops::Range<usize>,
     /// Token-index range of the body, exclusive of the braces. Empty
     /// for bodyless trait-method declarations.
     pub body: std::ops::Range<usize>,
@@ -267,11 +270,25 @@ fn parse_fn(
     let mut angle = 0i32;
     let mut cj = fn_ci + 2;
     let mut body_open: Option<usize> = None;
+    // The parameter list is the first parenthesized group outside
+    // generics; later groups (`-> impl Fn(u8)`) are return types.
+    let mut params_open: Option<usize> = None;
+    let mut params: Option<std::ops::Range<usize>> = None;
     while cj < code.len() {
         let t = &code[cj].1;
         match (t.kind, file.tok_text(t)) {
-            (TokenKind::Punct, "(") => paren += 1,
-            (TokenKind::Punct, ")") => paren -= 1,
+            (TokenKind::Punct, "(") => {
+                if paren == 0 && angle <= 0 && params_open.is_none() {
+                    params_open = Some(code[cj].0 + 1);
+                }
+                paren += 1;
+            }
+            (TokenKind::Punct, ")") => {
+                paren -= 1;
+                if paren == 0 && params.is_none() {
+                    params = params_open.map(|open| open..code[cj].0);
+                }
+            }
             (TokenKind::Punct, "<") => angle += 1,
             (TokenKind::Punct, ">") => {
                 if !(cj > 0 && file.tok_text(&code[cj - 1].1) == "-") {
@@ -330,6 +347,7 @@ fn parse_fn(
         is_test: file.is_test_line(line),
         name,
         line,
+        params: params.unwrap_or(0..0),
         body,
         calls,
     });

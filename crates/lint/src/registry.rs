@@ -7,7 +7,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::diag::{Diagnostic, Discharge, Severity};
+use crate::diag::{Diagnostic, Severity};
 use crate::parse::{parse, ParsedFile};
 use crate::rules;
 use crate::source::SourceFile;
@@ -74,12 +74,12 @@ pub const LINTS: &[LintInfo] = &[
     LintInfo {
         name: "mask-width-safety",
         severity: Severity::Deny,
-        summary: "shift amounts reachable from QosSwitch::step must be provably in-range",
+        summary: "no shift by a non-literal amount reachable from QosSwitch::step",
     },
     LintInfo {
         name: "unchecked-hot-arith",
         severity: Severity::Deny,
-        summary: "arbitration-pass arithmetic/indexing must have dataflow-bounded operands",
+        summary: "arbitration-pass arithmetic/indexing needs a declared-type bound or a waiver",
     },
     LintInfo {
         name: "no-nondeterministic-order",
@@ -143,9 +143,6 @@ pub struct Report {
     /// All findings after waiver filtering, in deterministic order
     /// (file, line, rule, anchor).
     pub diagnostics: Vec<Diagnostic>,
-    /// Findings the dataflow layer proved cannot fire, with evidence,
-    /// in deterministic order (file, line, rule, fingerprint).
-    pub discharged: Vec<Discharge>,
     /// How many files were scanned.
     pub files_scanned: usize,
 }
@@ -185,12 +182,11 @@ pub fn run_sources(sources: Vec<(String, String)>, config: &EngineConfig) -> Rep
         .collect();
 
     let mut diags = Vec::new();
-    let mut discharged = Vec::new();
     for (file, parsed_file) in files.iter().zip(&parsed) {
         let crate_has_lib = libs.contains(file.crate_name.as_str());
         rules::textual::check_file(file, parsed_file, crate_has_lib, &mut diags);
     }
-    rules::semantic::check(&files, &parsed, config, &mut diags, &mut discharged);
+    rules::semantic::check(&files, &parsed, config, &mut diags);
 
     // Drop waived findings: the waiver line is the finding's own line
     // (`diag.line` is 1-based; waivers are 0-based).
@@ -205,18 +201,9 @@ pub fn run_sources(sources: Vec<(String, String)>, config: &EngineConfig) -> Rep
             b.anchor.as_str(),
         ))
     });
-    discharged.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule, a.fingerprint).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.rule,
-            b.fingerprint,
-        ))
-    });
     Report {
         files_scanned: files.len(),
         diagnostics: diags,
-        discharged,
     }
 }
 

@@ -5,6 +5,10 @@
 //! * `panic-freedom-reachability` — aggregate per-function profile of
 //!   panic-capable sites (indexing, unwrap/expect, unchecked
 //!   arithmetic) reachable from `QosSwitch::step`.
+//! * `mask-width-safety` — no shift by a non-literal amount reachable
+//!   from `step` outside the `PortSet`/`BitIndex` primitives.
+//! * `unchecked-hot-arith` — arithmetic and indexing sites of the
+//!   arbitration pass reachable from `step`.
 //! * `no-nondeterministic-order` — no `HashMap`/`HashSet` in kernel
 //!   crates, whose iteration order would break replay determinism.
 //! * `feature-gate-hygiene` — names defined *only* under a cargo
@@ -12,14 +16,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::dataflow::sites::{self, SiteKind};
-use crate::dataflow::{analyze_fn, FnAnalysis, SiteProof, WorkspaceFacts};
-use crate::diag::{Diagnostic, Discharge, Severity};
-use crate::graph::{CallGraph, Reachability};
+use crate::diag::{Diagnostic, Severity};
+use crate::graph::CallGraph;
 use crate::parse::{FnItem, ParsedFile};
 use crate::registry::EngineConfig;
 use crate::source::SourceFile;
 
+use super::sites::{self, Decls, Site, SiteKind};
 use super::textual::{hot_tokens, push};
 
 /// Runs every semantic lint over the whole scanned set.
@@ -28,7 +31,6 @@ pub fn check(
     parsed: &[ParsedFile],
     config: &EngineConfig,
     out: &mut Vec<Diagnostic>,
-    discharged: &mut Vec<Discharge>,
 ) {
     no_nondeterministic_order(files, config, out);
     feature_gate_hygiene(files, parsed, config, out);
@@ -37,39 +39,34 @@ pub fn check(
     // every scanned crate's functions join, and module-qualified free
     // functions resolve across crate boundaries.
     let rels: Vec<String> = files.iter().map(|f| f.rel.clone()).collect();
-    let mut graph_fns: Vec<FnItem> = Vec::new();
-    let mut locs: Vec<(usize, usize)> = Vec::new();
-    for (fi, p) in parsed.iter().enumerate() {
-        if config.graph_exempt_crates.contains(&files[fi].crate_name) {
-            continue;
-        }
-        for (fk, f) in p.fns.iter().enumerate() {
-            graph_fns.push(f.clone());
-            locs.push((fi, fk));
-        }
-    }
+    let graph_fns: Vec<FnItem> = parsed
+        .iter()
+        .enumerate()
+        .filter(|(fi, _)| !config.graph_exempt_crates.contains(&files[*fi].crate_name))
+        .flat_map(|(_, p)| p.fns.iter().cloned())
+        .collect();
     let graph = CallGraph::build_workspace(&graph_fns, files);
 
     // The panic-freedom family shares the step-kernel reachable set and
-    // one abstract-interpreter pass per reachable function.
+    // one site enumeration per reachable function.
     let roots = graph.roots(&config.panic_root_fn, Some(&config.panic_root_file), &rels);
     if roots.is_empty() {
         return;
     }
     let reach = graph.reachable(&roots);
-    let facts = WorkspaceFacts::build(files, parsed);
-    let analyses: BTreeMap<usize, FnAnalysis> = reach
+    let decls = Decls::build(files);
+    let sites: BTreeMap<usize, Vec<Site>> = reach
         .seen
         .iter()
         .map(|&idx| {
-            let (fi, fk) = locs[idx];
-            (idx, analyze_fn(files, parsed, &facts, fi, fk))
+            let f = &graph.fns[idx];
+            (idx, sites::enumerate(&files[f.file], f, &decls))
         })
         .collect();
 
-    panic_freedom(files, &graph, &reach, &analyses, config, out, discharged);
-    mask_width_safety(files, &graph, &reach, &analyses, config, out, discharged);
-    unchecked_hot_arith(files, &graph, &reach, &analyses, config, out, discharged);
+    panic_freedom(files, &graph, &sites, config, out);
+    mask_width_safety(files, &graph, &sites, config, out);
+    unchecked_hot_arith(files, &graph, &sites, config, out);
 }
 
 /// `no-nondeterministic-order`: kernel crates must not touch hash-order
@@ -184,13 +181,11 @@ struct PanicProfile {
     arithmetic: usize,
 }
 
-/// Counts panic-capable sites in a function body, via the shared
-/// [`sites`] enumerator the dataflow interpreter also consumes — the
-/// profile and the per-site proofs are over the *same* site set by
-/// construction.
-fn panic_profile(file: &SourceFile, f: &FnItem) -> PanicProfile {
+/// Counts a function's panic-capable sites, as enumerated by the shared
+/// [`sites`] enumerator.
+fn panic_profile(sites: &[Site]) -> PanicProfile {
     let mut p = PanicProfile::default();
-    for site in sites::enumerate(file, f) {
+    for site in sites {
         match site.kind {
             SiteKind::Panic => p.panics += 1,
             SiteKind::Index => p.indexing += 1,
@@ -202,54 +197,27 @@ fn panic_profile(file: &SourceFile, f: &FnItem) -> PanicProfile {
     p
 }
 
-/// Compresses a function's site proofs into one bounded evidence line.
-fn evidence_summary(proofs: &[&SiteProof]) -> String {
-    let mut parts: Vec<String> = proofs
-        .iter()
-        .take(3)
-        .map(|p| format!("L{}: {}", p.site.line + 1, p.why))
-        .collect();
-    if proofs.len() > 3 {
-        parts.push(format!("(+{} more)", proofs.len() - 3));
-    }
-    let mut s = parts.join("; ");
-    if s.len() > 360 {
-        s.truncate(357);
-        s.push_str("...");
-    }
-    s
-}
-
 /// `panic-freedom-reachability`: one aggregate finding per function
 /// reachable from the step root that contains panic-capable sites. The
 /// anchor embeds the site counts, so adding a site to an already-known
 /// function re-fires CI while untouched functions stay baselined.
-///
-/// Functions whose every profiled arithmetic/indexing site the abstract
-/// interpreter proves in-bounds (and that hold no panic-capable calls)
-/// are *discharged*: the finding is suppressed and its fingerprint plus
-/// evidence land in the report's `discharged` section, licensing the
-/// removal of the matching `lint-baseline.txt` entry.
 fn panic_freedom(
     files: &[SourceFile],
     graph: &CallGraph<'_>,
-    reach: &Reachability,
-    analyses: &BTreeMap<usize, FnAnalysis>,
+    sites: &BTreeMap<usize, Vec<Site>>,
     config: &EngineConfig,
     out: &mut Vec<Diagnostic>,
-    discharged: &mut Vec<Discharge>,
 ) {
-    for &idx in &reach.seen {
+    for (&idx, fn_sites) in sites {
         let f = &graph.fns[idx];
-        let file = &files[f.file];
-        let p = panic_profile(file, f);
+        let p = panic_profile(fn_sites);
         if p == PanicProfile::default() {
             continue;
         }
-        let diag = Diagnostic {
+        out.push(Diagnostic {
             rule: "panic-freedom-reachability",
             severity: Severity::Deny,
-            file: file.rel.clone(),
+            file: files[f.file].rel.clone(),
             line: f.line + 1,
             message: format!(
                 "`{}` is reachable from `{}` and holds {} panic-capable call(s), {} unchecked \
@@ -259,147 +227,85 @@ fn panic_freedom(
             ),
             anchor: format!("{}|p{}i{}a{}", f.qual, p.panics, p.indexing, p.arithmetic),
             baselined: false,
-        };
-        let analysis = analyses.get(&idx);
-        if p.panics == 0 && analysis.is_some_and(FnAnalysis::all_profiled_safe) {
-            let proofs: Vec<&SiteProof> = analysis
-                .map(|a| {
-                    a.proofs
-                        .values()
-                        .filter(|pr| pr.site.kind.profiled())
-                        .collect()
-                })
-                .unwrap_or_default();
-            discharged.push(Discharge {
-                rule: diag.rule,
-                file: diag.file.clone(),
-                line: diag.line,
-                fingerprint: diag.fingerprint(),
-                evidence: format!(
-                    "`{}`: all {} profiled site(s) proven in-bounds — {}",
-                    f.qual,
-                    proofs.len(),
-                    evidence_summary(&proofs)
-                ),
-            });
-            continue;
-        }
-        out.push(diag);
+        });
     }
 }
 
-/// `mask-width-safety`: every shift reachable from the step kernel must
-/// have a provably in-range amount (`< lhs width`, i.e. bounded by the
-/// radix for the u64 port masks). Proven sites become `discharged`
-/// certificates carrying the interpreter's evidence; unprovable sites
-/// fire.
+/// `mask-width-safety`: every shift reachable from the step kernel by a
+/// non-literal amount fires. Literal amounts are not sites (rustc
+/// rejects an out-of-range one); variable shifts belong in the
+/// `PortSet`/`BitIndex` primitives of `ssq-types`, whose shift methods
+/// carry the waivers.
 fn mask_width_safety(
     files: &[SourceFile],
     graph: &CallGraph<'_>,
-    reach: &Reachability,
-    analyses: &BTreeMap<usize, FnAnalysis>,
+    sites: &BTreeMap<usize, Vec<Site>>,
     config: &EngineConfig,
     out: &mut Vec<Diagnostic>,
-    discharged: &mut Vec<Discharge>,
 ) {
-    for &idx in &reach.seen {
+    for (&idx, fn_sites) in sites {
         let f = &graph.fns[idx];
-        let file = &files[f.file];
-        let Some(analysis) = analyses.get(&idx) else {
-            continue;
-        };
-        let mut occ = 0usize;
-        for proof in analysis.proofs.values() {
-            let op = match proof.site.kind {
-                SiteKind::Shl => "<<",
-                SiteKind::Shr => ">>",
-                _ => continue,
-            };
-            let diag = Diagnostic {
+        let shifts = fn_sites.iter().filter_map(|s| match s.kind {
+            SiteKind::Shl => Some((s.line, "<<")),
+            SiteKind::Shr => Some((s.line, ">>")),
+            _ => None,
+        });
+        for (occ, (line, op)) in shifts.enumerate() {
+            out.push(Diagnostic {
                 rule: "mask-width-safety",
                 severity: Severity::Deny,
-                file: file.rel.clone(),
-                line: proof.site.line + 1,
+                file: files[f.file].rel.clone(),
+                line: line + 1,
                 message: format!(
-                    "`{}` is reachable from `{}` and shifts (`{}`) by an amount the dataflow \
-                     layer cannot bound below the operand width: {}; mask the amount (`& 63`), \
-                     assert! the bound, or waive with evidence",
-                    f.qual, config.panic_root_fn, op, proof.why
+                    "`{}` is reachable from `{}` and shifts (`{}`) by a non-literal amount; \
+                     shift through `PortSet` or `ssq_types::BitIndex` (in range by \
+                     construction), or waive with evidence",
+                    f.qual, config.panic_root_fn, op
                 ),
                 anchor: format!("{}|{}#{}", f.qual, op, occ),
                 baselined: false,
-            };
-            occ += 1;
-            if proof.safe {
-                discharged.push(Discharge {
-                    rule: diag.rule,
-                    file: diag.file.clone(),
-                    line: diag.line,
-                    fingerprint: diag.fingerprint(),
-                    evidence: format!("`{}` `{}`: {}", f.qual, op, proof.why),
-                });
-            } else {
-                out.push(diag);
-            }
+            });
         }
     }
 }
 
-/// `unchecked-hot-arith`: add/sub/mul/div/index sites in the configured
-/// hot files (the per-output arbitration pass) reachable from the step root whose
-/// operands the joint interval/known-bits domains cannot bound. Proven
-/// sites become `discharged` certificates.
+/// `unchecked-hot-arith`: every add/sub/mul/div/index site in the
+/// configured hot files (the per-output arbitration pass) reachable
+/// from the step root fires unless a declared type exempts it (see
+/// [`sites`]); deliberate sites carry per-line waivers.
 fn unchecked_hot_arith(
     files: &[SourceFile],
     graph: &CallGraph<'_>,
-    reach: &Reachability,
-    analyses: &BTreeMap<usize, FnAnalysis>,
+    sites: &BTreeMap<usize, Vec<Site>>,
     config: &EngineConfig,
     out: &mut Vec<Diagnostic>,
-    discharged: &mut Vec<Discharge>,
 ) {
-    for &idx in &reach.seen {
+    for (&idx, fn_sites) in sites {
         let f = &graph.fns[idx];
         let file = &files[f.file];
         if !config.hot_arith_files.iter().any(|h| &file.rel == h) {
             continue;
         }
-        let Some(analysis) = analyses.get(&idx) else {
-            continue;
-        };
-        let mut occ = 0usize;
-        for proof in analysis.proofs.values() {
-            let what = match proof.site.kind {
-                SiteKind::Arith(op) => format!("`{op}`"),
-                SiteKind::Index => "indexing".to_string(),
-                _ => continue,
-            };
-            let diag = Diagnostic {
+        let hot = fn_sites.iter().filter_map(|s| match s.kind {
+            SiteKind::Arith(op) => Some((s.line, format!("`{op}`"))),
+            SiteKind::Index => Some((s.line, "indexing".to_string())),
+            _ => None,
+        });
+        for (occ, (line, what)) in hot.enumerate() {
+            out.push(Diagnostic {
                 rule: "unchecked-hot-arith",
                 severity: Severity::Deny,
                 file: file.rel.clone(),
-                line: proof.site.line + 1,
+                line: line + 1,
                 message: format!(
-                    "`{}` is hot-path code reachable from `{}` with {} whose operands the \
-                     dataflow layer cannot bound: {}; tighten the types, guard the range, or \
-                     use checked/wrapping ops",
-                    f.qual, config.panic_root_fn, what, proof.why
+                    "`{}` is hot-path code reachable from `{}` with {} on operands no declared \
+                     type bounds; tighten the types, use checked/wrapping ops, or waive with \
+                     evidence",
+                    f.qual, config.panic_root_fn, what
                 ),
                 anchor: format!("{}|{}#{}", f.qual, what, occ),
                 baselined: false,
-            };
-            occ += 1;
-            if proof.safe {
-                discharged.push(Discharge {
-                    rule: diag.rule,
-                    file: diag.file.clone(),
-                    line: diag.line,
-                    fingerprint: diag.fingerprint(),
-                    evidence: format!("`{}` {}: {}", f.qual, what, proof.why),
-                });
-            } else {
-                out.push(diag);
-            }
+            });
         }
     }
 }

@@ -40,7 +40,7 @@ use ssq_sim::{CycleModel, Monitored};
 use ssq_trace::{Event, EventKind};
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::{
-    Cycle, FlowId, Geometry, InputId, OutputId, PacketId, PacketSpec, Rate, TrafficClass,
+    wire, Cycle, FlowId, Geometry, InputId, OutputId, PacketId, PacketSpec, Rate, TrafficClass,
 };
 
 use crate::fault::{NetFaultKind, NetFaultPlan};
@@ -64,17 +64,6 @@ pub const LOUD_DROP_REASONS: &[&str] = &["link_down", "no_route", "retries_exhau
 #[must_use]
 pub fn is_loud_reason(reason: &str) -> bool {
     LOUD_DROP_REASONS.contains(&reason)
-}
-
-/// Narrows a node/link/port index to the `u32` the trace wire format
-/// carries. Fabric indices are bounded by the topology (tens of nodes,
-/// never billions), so the cast is lossless; funneling every narrowing
-/// through here keeps the `no-lossy-index` lint meaningful everywhere
-/// else, exactly as the core switch's funnel does.
-#[inline]
-fn wire(index: usize) -> u32 {
-    debug_assert!(u32::try_from(index).is_ok(), "index {index} overflows u32");
-    index as u32 // ssq-lint: allow(no-lossy-index)
 }
 
 /// One end-to-end flow across the fabric.

@@ -1,6 +1,7 @@
 //! Fixed-bin histograms for latency distributions.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// A histogram over non-negative integer samples (e.g. latencies in
 /// cycles) with uniform bins and an overflow bucket.
@@ -24,7 +25,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
-    bin_width: u64,
+    bin_width: NonZeroU64,
     bins: Vec<u64>,
     overflow: u64,
     count: u64,
@@ -41,7 +42,9 @@ impl Histogram {
     /// Panics if `bin_width` or `num_bins` is zero.
     #[must_use]
     pub fn new(bin_width: u64, num_bins: usize) -> Self {
-        assert!(bin_width > 0, "bin width must be positive");
+        let Some(bin_width) = NonZeroU64::new(bin_width) else {
+            panic!("bin width must be positive");
+        };
         assert!(num_bins > 0, "need at least one bin");
         Histogram {
             bin_width,
@@ -153,7 +156,7 @@ impl Histogram {
         for (i, &n) in self.bins.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return Some((i as u64 + 1) * self.bin_width - 1);
+                return Some((i as u64 + 1) * self.bin_width.get() - 1);
             }
         }
         Some(self.max)
@@ -165,7 +168,7 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter(|(_, &n)| n > 0)
-            .map(move |(i, &n)| (i as u64 * self.bin_width, n))
+            .map(move |(i, &n)| (i as u64 * self.bin_width.get(), n))
     }
 
     /// Merges another histogram with identical bin layout.

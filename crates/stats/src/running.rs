@@ -46,7 +46,7 @@ impl RunningStats {
     /// Adds one sample.
     pub fn push(&mut self, x: f64) {
         self.count = self.count.saturating_add(1);
-        let delta = x - self.mean;
+        let delta: f64 = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);

@@ -1,7 +1,7 @@
 //! Destination patterns: which output each packet targets.
 
 use ssq_types::rng::Xoshiro256StarStar;
-use ssq_types::{InputId, OutputId};
+use ssq_types::{BitIndex, InputId, OutputId};
 
 /// Chooses the destination output for each packet created at an input.
 pub trait DestinationPattern {
@@ -64,7 +64,8 @@ impl DestinationPattern for UniformDest {
 /// otherwise uniformly elsewhere.
 #[derive(Debug, Clone)]
 pub struct HotspotDest {
-    radix: usize,
+    /// Outputs other than the hot one: `radix − 1`.
+    others: usize,
     hot: OutputId,
     hot_fraction: f64,
     rng: Xoshiro256StarStar,
@@ -86,7 +87,7 @@ impl HotspotDest {
             "hot fraction {hot_fraction} outside [0, 1]"
         );
         HotspotDest {
-            radix,
+            others: radix - 1,
             hot,
             hot_fraction,
             rng: Xoshiro256StarStar::seed_from_u64(seed),
@@ -100,7 +101,7 @@ impl DestinationPattern for HotspotDest {
             return self.hot;
         }
         // Uniform over the other outputs.
-        let pick = self.rng.index(self.radix - 1);
+        let pick = self.rng.index(self.others);
         let idx = if pick >= self.hot.index() {
             pick.saturating_add(1)
         } else {
@@ -114,7 +115,8 @@ impl DestinationPattern for HotspotDest {
 /// radix (requires a power-of-two radix).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitComplement {
-    radix: usize,
+    /// The port-index mask `radix − 1`.
+    mask: usize,
 }
 
 impl BitComplement {
@@ -129,13 +131,13 @@ impl BitComplement {
             radix.is_power_of_two(),
             "radix {radix} must be a power of two"
         );
-        BitComplement { radix }
+        BitComplement { mask: radix - 1 }
     }
 }
 
 impl DestinationPattern for BitComplement {
     fn dest(&mut self, input: InputId) -> OutputId {
-        OutputId::new(!input.index() & (self.radix - 1))
+        OutputId::new(!input.index() & self.mask)
     }
 }
 
@@ -170,7 +172,10 @@ impl DestinationPattern for Transpose {
 /// Perfect-shuffle permutation: rotate the port index left by one bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shuffle {
-    bits: u32,
+    /// The top bit of a port index: `log2(radix) − 1`.
+    top: BitIndex,
+    /// The port-index mask `radix − 1`.
+    mask: usize,
 }
 
 impl Shuffle {
@@ -187,15 +192,19 @@ impl Shuffle {
         );
         let bits = radix.trailing_zeros();
         assert!(bits >= 1 && bits <= 63, "shuffle rotate width out of range");
-        Shuffle { bits }
+        let top = BitIndex::new(bits - 1);
+        Shuffle {
+            top,
+            mask: top.through() as usize,
+        }
     }
 }
 
 impl DestinationPattern for Shuffle {
     fn dest(&mut self, input: InputId) -> OutputId {
         let i = input.index();
-        let mask = (1usize << self.bits) - 1;
-        OutputId::new(((i << 1) | (i >> (self.bits - 1))) & mask)
+        let wrapped = self.top.shr(i as u64) as usize;
+        OutputId::new(((i << 1) | wrapped) & self.mask)
     }
 }
 

@@ -1,5 +1,7 @@
 //! Packet arrival processes.
 
+use std::num::NonZeroU64;
+
 use ssq_types::rng::Xoshiro256StarStar;
 use ssq_types::Cycle;
 
@@ -104,7 +106,7 @@ impl TrafficSource for Bernoulli {
 /// producers (e.g. a display controller or a baseband pipeline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Periodic {
-    interval: u64,
+    interval: NonZeroU64,
     phase: u64,
     len_flits: u64,
 }
@@ -117,7 +119,9 @@ impl Periodic {
     /// Panics if `interval` or `len_flits` is zero.
     #[must_use]
     pub fn new(interval: u64, phase: u64, len_flits: u64) -> Self {
-        assert!(interval > 0, "interval must be positive");
+        let Some(interval) = NonZeroU64::new(interval) else {
+            panic!("interval must be positive");
+        };
         assert!(len_flits > 0, "packets need at least one flit");
         Periodic {
             interval,
@@ -137,13 +141,12 @@ impl TrafficSource for Periodic {
     }
 
     fn offered_load(&self) -> Option<f64> {
-        Some(self.len_flits as f64 / self.interval as f64)
+        Some(self.len_flits as f64 / self.interval.get() as f64)
     }
 
     //
-    // `interval > 0` is asserted in `new`, and both `phase` and `rem` are
-    // residues below it, so the modulo cannot divide by zero and neither
-    // difference wraps.
+    // `interval` is nonzero by type, and both `phase` and `rem` are
+    // residues below it, so neither difference wraps.
     // ssq-lint: allow(panic-freedom-reachability)
     fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
         // The smallest t >= now with t % interval == phase. Pure: `poll`
@@ -152,7 +155,7 @@ impl TrafficSource for Periodic {
         let wait = if rem <= self.phase {
             self.phase - rem
         } else {
-            self.interval - (rem - self.phase)
+            self.interval.get() - (rem - self.phase)
         };
         Some(Cycle::new(now.value().saturating_add(wait)))
     }

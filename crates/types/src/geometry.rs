@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::error::GeometryError;
+use crate::BitIndex;
 
 /// Physical geometry of a single-stage Swizzle Switch.
 ///
@@ -102,12 +103,10 @@ impl Geometry {
     /// so the usable GB lane count must be a power of two.
     #[must_use]
     pub const fn gb_lanes(self) -> usize {
-        let available = self.num_lanes().saturating_sub(1);
-        if available == 0 {
-            0
-        } else {
-            // Largest power of two <= available.
-            1usize << (usize::BITS - 1 - available.leading_zeros())
+        // Largest power of two <= `num_lanes − 1` (none when zero).
+        match BitIndex::highest_set(self.num_lanes().saturating_sub(1) as u64) {
+            Some(top) => top.bit() as usize,
+            None => 0,
         }
     }
 

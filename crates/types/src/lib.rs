@@ -9,6 +9,11 @@
 //! arbitration, traffic, and switch crates cannot accidentally confuse a
 //! port index with a lane index or a point in time with a duration.
 //!
+//! [`PortSet`] and [`BitIndex`] are the two word-shift primitives: a
+//! port set is one `u64` at the paper's radix ≤ 64, and a bit index is
+//! a position `0..64` by construction, so shifts through them need no
+//! range proof at the call site.
+//!
 //! Two leaf modules hold shared mathematics rather than vocabulary:
 //! [`bounds`] is the single implementation of the paper's Eq. 1–3
 //! guaranteed-latency formulas, and [`invariant`] is the V1–V6 predicate
@@ -38,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitindex;
 pub mod bounds;
 mod class;
 mod error;
@@ -49,11 +55,12 @@ mod portset;
 pub mod rng;
 mod units;
 
+pub use bitindex::BitIndex;
 pub use class::TrafficClass;
 pub use error::{GeometryError, RateError};
 pub use geometry::Geometry;
 pub use ids::{FlowId, InputId, OutputId, PacketId};
 pub use packet::{PacketSpec, MAX_PACKET_FLITS};
-pub use portset::{PortSet, SetBits};
+pub use portset::{wire, PortSet, SetBits};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use units::{Cycle, Cycles, Rate};

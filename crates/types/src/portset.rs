@@ -72,7 +72,7 @@ impl PortSet {
     #[must_use]
     pub fn first_n(n: usize) -> Self {
         debug_assert!(n <= 64, "radix {n} exceeds the 64-port word");
-        PortSet(u64::MAX.checked_shr(64 - n as u32).unwrap_or(0))
+        PortSet(!u64::MAX.checked_shl(n as u32).unwrap_or(0))
     }
 
     /// Adds port `i`.
@@ -180,6 +180,18 @@ impl FromIterator<usize> for PortSet {
         }
         set
     }
+}
+
+/// Narrows a port, flow, node or link index to the `u32` the trace wire
+/// format carries. Switch indices are bounded by the radix (≤ 64) and
+/// fabric indices by the topology (tens of nodes), so the cast is
+/// lossless; funneling every narrowing through this one function keeps
+/// the `no-lossy-index` lint meaningful everywhere else.
+#[inline]
+#[must_use]
+pub fn wire(index: usize) -> u32 {
+    debug_assert!(u32::try_from(index).is_ok(), "index {index} overflows u32");
+    index as u32 // ssq-lint: allow(no-lossy-index)
 }
 
 /// Ascending-order iterator over the set bits of a [`PortSet`].

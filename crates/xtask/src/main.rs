@@ -197,7 +197,6 @@ fn lint(args: &[String]) -> ExitCode {
             "{}",
             ssq_lint::render_json(
                 &report.diagnostics,
-                &report.discharged,
                 report.files_scanned,
                 &ssq_lint::rule_names(),
             )
@@ -208,11 +207,10 @@ fn lint(args: &[String]) -> ExitCode {
     let baselined = report.diagnostics.iter().filter(|d| d.baselined).count();
     if blocking.is_empty() {
         let summary = format!(
-            "lint clean: {} files, {} rules, {} baselined finding(s), {} discharged, 0 new",
+            "lint clean: {} files, {} rules, {} baselined finding(s), 0 new",
             report.files_scanned,
             ssq_lint::LINTS.len(),
             baselined,
-            report.discharged.len(),
         );
         if json {
             eprintln!("{summary}");
