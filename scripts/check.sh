@@ -30,7 +30,7 @@ if committed=$(git show HEAD:lint-baseline.txt 2>/dev/null); then
   then=$(printf '%s\n' "$committed" | grep -vc '^#' || true)
   if [ "$now" -gt "$then" ]; then
     echo "lint-baseline.txt grew: $then -> $now entries." >&2
-    echo "Fix, discharge, or waive the new finding instead of baselining it." >&2
+    echo "Fix the site, rule it out with a type, or waive it with evidence instead of baselining it." >&2
     exit 1
   fi
   echo "baseline entries: $now (committed: $then) — ok"
